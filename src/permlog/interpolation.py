@@ -66,6 +66,7 @@ __all__ = [
     "g_full_expansion_permanent",
     "g_full_expansion_hafnian",
     "g_full_expansion_tensor",
+    "g_taylor_coefficients",
     "log_derivatives",
     "taylor_error_bound",
 ]
@@ -140,7 +141,8 @@ def _disjoint_pair_collections(two_n, max_k):
                 yield from rec(e + 1, used | masks[e], chosen)
             chosen.pop()
 
-    yield from rec(0, 0, [])
+    if max_k >= 1:
+        yield from rec(0, 0, [])
 
 
 def g_derivatives_hafnian(mat, m, budget=DEFAULT_BUDGET):
@@ -328,6 +330,173 @@ def g_full_expansion_tensor(ten, limit=10**5):
 
 
 # ---------------------------------------------------------------------------
+# truncated inclusion-exclusion: c_k = g_k / g_0 for k <= m in n^O(m) work
+
+# complex elements per working array; subsets are streamed in chunks of this
+# size so memory does not grow with the number of subsets
+_ENGINE_CHUNK = 1 << 18
+
+
+def _subset_chunks(n, s, rows):
+    """The s-subsets of range(n) in lexicographic order, as (<= rows, s)
+    index arrays."""
+    combos = itertools.combinations(range(n), s)
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, rows)), dtype=np.intp
+        )
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, s)
+
+
+def _ryser_weights(n, m):
+    """w[s, k] = (-1)^(k-s) C(n-s, k-s) / (n)_k = (-1)^(k-s) / ((k-s)! (n)_s)
+    for 1 <= s <= k <= m, zero elsewhere: the weight of a column set of size s
+    in W_k / (n)_k."""
+    w = np.zeros((m + 1, m + 1))
+    inv_fall = 1.0
+    for s in range(1, m + 1):
+        inv_fall /= n - s + 1
+        term = inv_fall
+        w[s, s] = term
+        for k in range(s + 1, m + 1):
+            term /= -(k - s)
+            w[s, k] = term
+    return w
+
+
+def _ryser_last_axis(mats, m, w):
+    """For each matrix M of the (C, n, n) batch,
+    sum_{1 <= |T| <= m} w[|T|] * e_{0..m}(r_1(T), ..., r_n(T)), with
+    r_i(T) = sum_{j in T} M[i, j]; shape (C, m + 1)."""
+    c, n, _ = mats.shape
+    out = np.zeros((c, m + 1), dtype=np.complex128)
+    rows = max(1, _ENGINE_CHUNK // (c * n))
+    for s in range(1, m + 1):
+        for cols in _subset_chunks(n, s, rows):
+            r = mats[:, :, cols[:, 0]]
+            for a in range(1, s):
+                r = r + mats[:, :, cols[:, a]]
+            r = np.moveaxis(r, 1, 0).reshape(n, -1)
+            e = np.zeros((r.shape[1], m + 1), dtype=np.complex128)
+            e[:, 0] = 1.0
+            for i in range(n):
+                e[:, 1:] += r[i][:, None] * e[:, :-1]
+            out += e.reshape(c, -1, m + 1).sum(axis=1) * w[s]
+    return out
+
+
+def _tensor_terms(b, m, w, weight, acc):
+    """Add to acc the inclusion-exclusion terms of every tuple of column sets
+    on the middle axes 1..ndim-2 of b, each contracted away and weighted by
+    weight * prod_j w[|T_j|]; the last axis goes through _ryser_last_axis."""
+    n = b.shape[0]
+    if b.ndim == 2:
+        acc.add(_ryser_last_axis(b[None], m, w)[0] * weight)
+        return
+    if b.ndim == 3:
+        rows = max(1, _ENGINE_CHUNK // (4 * n * n))
+        for s in range(1, m + 1):
+            for cols in _subset_chunks(n, s, rows):
+                mats = b[:, cols[:, 0], :]
+                for a in range(1, s):
+                    mats = mats + b[:, cols[:, a], :]
+                terms = _ryser_last_axis(mats.transpose(1, 0, 2), m, w)
+                acc.add(terms.sum(axis=0) * (w[s] * weight))
+        return
+    for s in range(1, m + 1):
+        for cols in itertools.combinations(range(n), s):
+            _tensor_terms(b[:, list(cols)].sum(axis=1), m, w, w[s] * weight, acc)
+
+
+def _hafnian_weights(two_n, m):
+    """w[s, k] = (-1)^s C(2n-s, 2k-s) (2n-2k-1)!! / (k! (2n-1)!!)
+    = (-1)^s 2^k (n)_k / (k! (2k-s)! (2n)_s) for 2 <= s <= 2k, 1 <= k <= m."""
+    n = two_n // 2
+    inv_fact = [1.0]
+    inv_fall = [1.0]
+    for j in range(1, 2 * m + 1):
+        inv_fact.append(inv_fact[-1] / j)
+        inv_fall.append(inv_fall[-1] / (two_n - j + 1))
+    w = np.zeros((2 * m + 1, m + 1))
+    lead = 1.0
+    for k in range(1, m + 1):
+        lead *= 2.0 * (n - k + 1) / k
+        for s in range(2, 2 * k + 1):
+            w[s, k] = (-1.0) ** s * lead * inv_fact[2 * k - s] * inv_fall[s]
+    return w
+
+
+def _hafnian_coefficients(b, m):
+    """(0, c_1, ..., c_m) of haf(J + zB): c_k = sum_S w[|S|, k] e(S)^k over
+    vertex sets 2 <= |S| <= 2m, e(S) = sum_{i<j in S} b_ij."""
+    two_n = b.shape[0]
+    w = _hafnian_weights(two_n, m)
+    acc = KahanSum()
+    for s in range(2, 2 * m + 1):
+        for verts in _subset_chunks(two_n, s, _ENGINE_CHUNK // m):
+            e = np.zeros(verts.shape[0], dtype=np.complex128)
+            for a in range(s):
+                for c in range(a + 1, s):
+                    e += b[verts[:, a], verts[:, c]]
+            powers = np.cumprod(np.repeat(e[:, None], m, axis=1), axis=1)
+            acc.add(powers.sum(axis=0) * w[s, 1:])
+    return np.concatenate(([0j], acc.value))
+
+
+def _engine_operations(value, m):
+    """Operation count of g_taylor_coefficients, checked against the budget."""
+    if isinstance(value, SymmetricComplexMatrix):
+        return sum(math.comb(value.two_n, s) * s * s for s in range(2 * m + 1))
+    n = value.n
+    d = value.d if isinstance(value, ComplexTensor) else 2
+    return sum(math.comb(n, s) for s in range(m + 1)) ** (d - 1) * n * m
+
+
+def g_taylor_coefficients(value, m, budget=DEFAULT_BUDGET):
+    """Normalized Taylor coefficients (c_0, ..., c_m), c_k = g_k / g_0, of
+    g(z) = per/haf/PER(J + z(A - J)) for 0 <= m <= n, by truncated
+    inclusion-exclusion (Ryser) in n^O(m) work. With b = a - 1:
+
+    - per: W_k = sum_{|T|<=k} (-1)^(k-|T|) C(n-|T|, k-|T|) e_k(r(T)), with
+      row sums r_i(T) = sum_{j in T} b_ij; c_k = W_k / (n)_k.
+    - PER: the same on each axis 2..d, axes 2..d-1 contracted over their
+      column sets; c_k = W_k / ((n)_k)^(d-1).
+    - haf: W_k = (1/k!) sum_{|S|<=2k} (-1)^|S| C(2n-|S|, 2k-|S|) e(S)^k,
+      e(S) = sum_{i<j in S} b_ij; c_k = W_k (2n-2k-1)!! / (2n-1)!!.
+
+    W_k is the k-matching weight of the deviation hypergraph. `budget` caps
+    the operation count, checked before any work: C(n, <=m) n m (per),
+    C(n, <=m)^(d-1) n m (PER), sum_{s<=2m} C(2n, s) s^2 (haf).
+    """
+    if isinstance(value, SymmetricComplexMatrix):
+        n = value.two_n // 2
+    elif isinstance(value, (ComplexMatrix, ComplexTensor)):
+        n = value.n
+    else:
+        raise ShapeMismatch(
+            "g_taylor_coefficients: expected ComplexMatrix, SymmetricComplexMatrix, or ComplexTensor"
+        )
+    if m > n or m < 0:
+        raise ValueError(f"g_taylor_coefficients: need 0 <= m <= n, got m={m}")
+    ops = _engine_operations(value, m)
+    if ops > budget:
+        raise BudgetExceeded(f"g_taylor_coefficients: {ops} operations over budget {budget}")
+    if m == 0:
+        return np.ones(1, dtype=np.complex128)
+    b = value.array - 1.0
+    if isinstance(value, SymmetricComplexMatrix):
+        out = _hafnian_coefficients(b, m)
+    else:
+        acc = KahanSum()
+        _tensor_terms(b, m, _ryser_weights(n, m), 1.0, acc)
+        out = acc.value
+    out[0] = 1.0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # log conversion and the truncation certificate
 
 
@@ -378,7 +547,8 @@ def choose_degree(deg_g, beta, epsilon, limit=10**9):
 
     The bound is monotone decreasing in m, so this is a linear scan; it runs
     in numpy chunks of doubling size so degrees ~1e8 still cost well under a
-    second.
+    second. The scan compares logs, so its hit is then settled against
+    taylor_error_bound itself, which decides exact ties.
     """
     if not epsilon > 0:
         raise ValueError(f"choose_degree: epsilon must be > 0, got {epsilon}")
@@ -396,7 +566,14 @@ def choose_degree(deg_g, beta, epsilon, limit=10**9):
         ok = const - np.log(ms + 1.0) - ms * log_beta <= target
         hit = int(np.argmax(ok))
         if ok[hit]:
-            return lo + hit
+            m = lo + hit
+            while m > 0 and taylor_error_bound(deg_g, beta, m - 1) <= epsilon:
+                m -= 1
+            while taylor_error_bound(deg_g, beta, m) > epsilon:
+                m += 1
+            if m > limit:
+                break
+            return m
         lo += ms.size
         chunk *= 2
     raise BudgetExceeded(f"choose_degree: certified degree exceeds {limit}")
@@ -575,6 +752,14 @@ class ApproxReport:
         return out
 
 
+def _complex_or_inf(count):
+    """An exact integer count as a complex number; inf once it overflows."""
+    try:
+        return complex(count)
+    except OverflowError:
+        return complex(math.inf)
+
+
 @dataclass(frozen=True)
 class _KindInfo:
     shape: str
@@ -594,7 +779,7 @@ def _classify(value):
             d=2,
             n=n,
             log_g0=sum(math.log(k) for k in range(2, n + 1)),
-            g0=complex(math.factorial(n)) if n <= 170 else complex(math.inf),
+            g0=_complex_or_inf(math.factorial(n)),
             tuple_fn=g_derivatives_permanent,
             full_fn=g_full_expansion_permanent,
         )
@@ -606,13 +791,12 @@ def _classify(value):
             - n * math.log(2.0)
             - sum(math.log(k) for k in range(2, n + 1))
         )
-        g0 = math.factorial(two_n) // (2**n * math.factorial(n))
         return _KindInfo(
             shape="haf",
             d=2,
             n=n,
             log_g0=log_g0,
-            g0=complex(g0) if two_n <= 170 else complex(math.inf),
+            g0=_complex_or_inf(math.factorial(two_n) // (2**n * math.factorial(n))),
             tuple_fn=g_derivatives_hafnian,
             full_fn=g_full_expansion_hafnian,
         )
@@ -623,7 +807,7 @@ def _classify(value):
             d=d,
             n=n,
             log_g0=(d - 1) * sum(math.log(k) for k in range(2, n + 1)),
-            g0=complex(float(math.factorial(n)) ** (d - 1)),
+            g0=_complex_or_inf(math.factorial(n) ** (d - 1)),
             tuple_fn=g_derivatives_tensor,
             full_fn=g_full_expansion_tensor,
         )
@@ -631,8 +815,11 @@ def _classify(value):
 
 
 def _taylor_prefix_coeffs(value, info, mm, budget):
-    """Normalized Taylor coefficients c_k = g^(k)(0)/(k! g(0)) for k <= mm,
-    via the tuple-sum path with automatic full-expansion fallback."""
+    """Normalized Taylor coefficients c_k = g^(k)(0)/(k! g(0)) for k <= mm:
+    the inclusion-exclusion engine below full degree (mm < n), otherwise the
+    tuple-sum path with automatic full-expansion fallback."""
+    if mm < info.n:
+        return g_taylor_coefficients(value, mm, budget)
     try:
         derivs = info.tuple_fn(value, mm, budget)
     except BudgetExceeded:

@@ -164,6 +164,14 @@ class TestApproxCommand:
         assert main(["approx", str(p), "--method", "disc", "--eta", "0.35",
                      "--epsilon", "1e-3"]) == EXIT_BUDGET
 
+    def test_hafnian_degree_zero(self, capsys, tmp_path):
+        p = tmp_path / "haf.json"
+        save_instance(SymmetricComplexMatrix(np.full((4, 4), 1.00001)), p)
+        assert main(["approx", str(p), "--method", "disc", "--eta", "1e-4",
+                     "--epsilon", "0.5"]) == EXIT_OK
+        approx = json.loads(capsys.readouterr().out)["results"]["approx"]
+        assert approx["degree_used"] == 0
+
     def test_verify_pass(self, capsys, matrix_file):
         path, _ = matrix_file
         code = main(["approx", str(path), "--method", "disc", "--eta", "0.3",

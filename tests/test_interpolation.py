@@ -91,6 +91,12 @@ class TestGDerivativesHafnian:
         for k in range(4):
             assert g[k] == pytest.approx(poly.coeffs[k] * math.factorial(k), rel=1e-11)
 
+    def test_degree_zero(self):
+        s = SymmetricComplexMatrix(np.full((4, 4), 1.00001))
+        g = g_derivatives_hafnian(s, 0)
+        assert g.shape == (1,)
+        assert g[0] == pytest.approx(3.0)
+
     def test_g_at_one_is_hafnian(self):
         rng = np.random.default_rng(4)
         raw = rng.standard_normal((6, 6))
@@ -170,6 +176,14 @@ class TestDegreeSelection:
             m = choose_degree(deg_g, beta, eps)
             assert taylor_error_bound(deg_g, beta, m) <= eps
             assert m == 0 or taylor_error_bound(deg_g, beta, m - 1) > eps
+
+    def test_choose_degree_settles_ties_with_the_bound(self):
+        # at beta = 5 these grid points sit on a float tie between the log
+        # comparison and taylor_error_bound itself
+        for deg_g, eps in [(2, 1e-3), (3, 1e-2), (4, 1e-1), (20, 1e-2), (75, 1e-3), (125, 1e-2)]:
+            m = choose_degree(deg_g, 5.0, eps)
+            assert taylor_error_bound(deg_g, 5.0, m) <= eps
+            assert m == 0 or taylor_error_bound(deg_g, 5.0, m - 1) > eps
 
     def test_choose_degree_large_scan(self):
         # beta near 1 forces a long scan through the chunked search
@@ -319,6 +333,35 @@ class TestDiscPipeline:
             approx_log_disc(a, 0.3, 0.0)
         with pytest.raises(InfeasibleParameters):
             approx_log_disc(a, 0.3, 1.5)
+
+    def test_tied_degree_certifies(self):
+        # choose_degree(20, 5.0, 1e-2) once returned a degree whose bound
+        # exceeded epsilon by one ulp; per(0.95 J) = 0.95^20 20!
+        rep = approx_log_disc(ComplexMatrix(np.full((20, 20), 0.95)), 0.1, 1e-2)
+        exact = 20 * math.log(0.95) + math.lgamma(21)
+        assert abs(rep.log_value - exact) <= rep.error_bound <= 1e-2
+
+    def test_hafnian_degree_zero(self):
+        s = SymmetricComplexMatrix(np.full((4, 4), 1.00001))
+        rep = approx_log_disc(s, 1e-4, 0.5)
+        assert rep.degree_used == 0
+        exact = math.log(3.0) + 2.0 * math.log(1.00001)
+        assert abs(rep.log_value - exact) <= rep.error_bound <= 0.5
+
+    def test_permanent_beyond_float_factorial(self):
+        # n! overflows a float for n > 170; per(u u^T) = n! prod(u)^2
+        u = 1.0 + 0.004 * np.sin(np.arange(180.0))
+        rep = approx_log_disc(ComplexMatrix(np.outer(u, u)), 0.01, 0.1)
+        exact = math.lgamma(181) + 2.0 * float(np.log(u).sum())
+        assert abs(rep.log_value - exact) <= rep.error_bound <= 0.1
+        assert rep.g0 == complex(math.inf)
+
+    def test_tensor_beyond_float_factorial_power(self):
+        # (99!)^2 overflows a float; PER of the all-ones 99^3 tensor is (99!)^2
+        rep = approx_log_disc(ComplexTensor(np.ones((99, 99, 99))), 1e-4, 1e-2)
+        assert rep.degree_used == 1
+        assert abs(rep.log_value - 2.0 * math.lgamma(100)) <= rep.error_bound <= 1e-2
+        assert rep.g0 == complex(math.inf)
 
     def test_real_input_gives_real_log(self):
         rng = np.random.default_rng(45)
