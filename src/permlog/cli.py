@@ -101,27 +101,27 @@ def _nested_pairs(arr):
     return [_nested_pairs(sub) for sub in arr]
 
 
+def _instance_header(value):
+    """Kind and size of an instance, without its entries."""
+    if isinstance(value, ComplexMatrix):
+        return {"kind": "matrix", "n": value.n}
+    if isinstance(value, SymmetricComplexMatrix):
+        return {"kind": "symmetric", "two_n": value.two_n}
+    return {"kind": "tensor", "d": value.d, "n": value.n}
+
+
 def canonical_instance(value):
     """Normalized serialization: every entry as an [re, im] pair."""
-    if isinstance(value, ComplexMatrix):
-        return {"kind": "matrix", "n": value.n, "entries": _nested_pairs(value.array)}
-    if isinstance(value, SymmetricComplexMatrix):
-        return {
-            "kind": "symmetric",
-            "two_n": value.two_n,
-            "entries": _nested_pairs(value.array),
-        }
-    return {
-        "kind": "tensor",
-        "d": value.d,
-        "n": value.n,
-        "entries": _nested_pairs(value.array),
-    }
+    return {**_instance_header(value), "entries": _nested_pairs(value.array)}
 
 
 def instance_digest(value):
-    blob = json.dumps(canonical_instance(value), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """SHA-256 of the key-sorted JSON header (kind and size) followed by the
+    entries as little-endian complex128 bytes in row-major order."""
+    header = json.dumps(_instance_header(value), sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(header.encode("utf-8"))
+    digest.update(np.ascontiguousarray(value.array, dtype="<c16").tobytes())
+    return digest.hexdigest()
 
 
 def save_instance(value, path):

@@ -1095,7 +1095,7 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
             f"approx_log_strip: certified degree {m} exceeds the supported {MAX_STRIP_DEGREE}"
         )
     mm = min(m, info.n)
-    chat = _taylor_prefix_coeffs(value, info, mm, budget)
+    chat = g_taylor_coefficients(value, mm, budget)
     rhat = np.ascontiguousarray(chat.real)
     if m <= _SMALL_COMPOSE_LIMIT:
         phi_pref = UnivariatePolynomial(phi.coeff_prefix(min(m, phi.N) + 1))

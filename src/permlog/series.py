@@ -2,10 +2,13 @@
 
 Everything here operates on plain float64 numpy arrays of ascending
 coefficients (index k = coefficient of z^k) and is internal plumbing for the
-strip pipeline. Products use the real FFT above a small-size threshold; the
-reciprocal runs Newton doubling with a half-length cyclic product per stage,
-which is what keeps the largest transforms at ~m instead of ~2m. Memory is
-the binding constraint at the top sizes, so intermediates are freed eagerly.
+strip pipeline. Products use the real FFT above a small-size threshold. The
+reciprocal runs Newton doubling on a schedule planned down from its target
+length, with one wrap-tolerant cyclic product per stage. The log-series sum
+divides c'/c by Karp-Markstein: a reciprocal to half the length, then
+products of length ~m, so the largest transforms are ~m long instead of
+~2m. Memory is the binding constraint at the top sizes, so intermediates
+are freed eagerly.
 """
 
 import math
@@ -77,25 +80,31 @@ def _cyclic_mul(a, b, size):
 def series_reciprocal(c, out_len):
     """First out_len coefficients of 1/c, requiring c[0] != 0.
 
-    Newton doubling r -> r(2 - cr). Each stage needs c*r only modulo
-    z^(2L), and the top half of that product is alias-free in a cyclic
-    convolution of length 2L, so each stage costs one cyclic product at 2L
-    plus one linear product for the update instead of full-length products.
+    Newton doubling r -> r(2 - cr) on a schedule planned from the top:
+    out_len, ceil(out_len/2), ... down to the <= 256-term direct base case,
+    so each stage doubles exactly into its target. A stage growing r from
+    ell to nxt terms needs c*r only on [ell, nxt), and a cyclic convolution
+    of length >= nxt wraps only terms that land below ell, so each stage
+    costs one cyclic product at ~nxt plus one linear product of length
+    nxt - ell for the update.
     """
     if c.size == 0 or c[0] == 0:
         raise ZeroBaseValue("series_reciprocal: constant term must be nonzero")
     c = c[:out_len]
-    base = min(out_len, 256)
+    targets = []
+    base = out_len
+    while base > 256:
+        targets.append(base)
+        base = (base + 1) // 2
     r = np.empty(base, dtype=np.float64)
     r[0] = 1.0 / c[0]
     for k in range(1, base):
         jmax = min(k, c.size - 1)
         s = np.dot(c[1 : jmax + 1], r[k - jmax : k][::-1]) if jmax >= 1 else 0.0
         r[k] = -s / c[0]
-    while r.size < out_len:
+    for nxt in reversed(targets):
         ell = r.size
-        nxt = min(2 * ell, out_len)
-        cyc = _cyclic_mul(c[:nxt], r, 2 * ell)
+        cyc = _cyclic_mul(c[:nxt], r, good_fft_size(nxt))
         err = cyc[ell:nxt]
         del cyc
         upd = series_mul(r, err, nxt - ell)
@@ -146,19 +155,30 @@ def compensated_total(values):
 
 
 def series_log_prefix_sum(c, m):
-    """sum_{k=1..m} psi_k for psi = log(c/c[0]), via f' = c'/c.
+    """sum_{k=1..m} psi_k for psi = log(c/c[0]), as psi_k = h_{k-1}/k with
+    h = c~'/c~ mod z^m and c~ = c/c[0] zero-padded to m+1 terms.
 
-    FFT path: one reciprocal to m terms and one full product for h = c'~ * r,
-    then psi_k = h_{k-1}/k summed with compensation.
+    Karp-Markstein division: with k = ceil(m/2) and r = 1/c~ mod z^k, the
+    low half of h is q0 = c~' r mod z^k and the high half is
+    r (c~'[k:m] - (c~ q0)[k:m]) mod z^(m-k). The middle product (c~ q0)[k:m]
+    is alias-free in a cyclic convolution of length >= m, so the reciprocal
+    runs to k terms only and the largest transform is ~m long.
     """
     if c.size == 0 or c[0] == 0:
         raise ZeroBaseValue("series_log_prefix_sum: constant term must be nonzero")
-    ct = c[: m + 1] / c[0]
-    r = series_reciprocal(ct, m + 1)
-    deriv = ct[1:] * np.arange(1, ct.size, dtype=np.float64)
-    del ct
-    h = series_mul(deriv, r, m)
-    del deriv, r
-    psi = h[:m]
-    psi = psi / np.arange(1, m + 1, dtype=np.float64)
-    return compensated_total(psi)
+    ct = np.zeros(m + 1, dtype=np.float64)
+    take = min(m + 1, c.size)
+    ct[:take] = c[:take] / c[0]
+    k = (m + 1) // 2
+    r = series_reciprocal(ct, k)
+    h = np.empty(m, dtype=np.float64)
+    h[:k] = series_mul(ct[1 : k + 1] * np.arange(1, k + 1, dtype=np.float64), r, k)
+    if m > k:
+        tail = ct[k + 1 :] * np.arange(k + 1, m + 1, dtype=np.float64)
+        tail -= _cyclic_mul(ct[:m], h[:k], good_fft_size(m))[k:m]
+        del ct
+        h[k:] = series_mul(r, tail, m - k)
+        del tail
+    del r
+    h /= np.arange(1, m + 1, dtype=np.float64)
+    return compensated_total(h)

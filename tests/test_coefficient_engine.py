@@ -46,7 +46,7 @@ class TestAgreesWithTupleSums:
         rng = np.random.default_rng(101)
         for n in range(1, 7):
             a = ComplexMatrix(_complex_disc(rng, (n, n), 0.4))
-            for m in range(n):
+            for m in range(n + 1):
                 _assert_close(g_taylor_coefficients(a, m), _normalized(g_derivatives_permanent(a, m)))
 
     def test_hafnian_every_truncation(self):
@@ -54,7 +54,7 @@ class TestAgreesWithTupleSums:
         for two_n in (2, 4, 6, 8):
             raw = _complex_disc(rng, (two_n, two_n), 0.3)
             s = SymmetricComplexMatrix((raw + raw.T) / 2.0)
-            for m in range(two_n // 2):
+            for m in range(two_n // 2 + 1):
                 _assert_close(g_taylor_coefficients(s, m), _normalized(g_derivatives_hafnian(s, m)))
 
     @pytest.mark.parametrize("d", [3, 4])
@@ -62,13 +62,13 @@ class TestAgreesWithTupleSums:
         rng = np.random.default_rng(100 + d)
         for n in range(1, 5):
             t = ComplexTensor(_complex_disc(rng, (n,) * d, 0.3))
-            for m in range(n):
+            for m in range(n + 1):
                 _assert_close(g_taylor_coefficients(t, m), _normalized(g_derivatives_tensor(t, m)))
 
     def test_d2_tensor_is_the_permanent(self):
         rng = np.random.default_rng(105)
         arr = _complex_disc(rng, (6, 6), 0.4)
-        for m in range(6):
+        for m in range(7):
             got = g_taylor_coefficients(ComplexTensor(arr), m)
             assert np.array_equal(got, g_taylor_coefficients(ComplexMatrix(arr), m))
 
@@ -109,7 +109,7 @@ class TestAgreesWithExactArithmetic:
         n = 5
         exact, b = _rational_deviations(rng, (n, n))
         terms = [[exact[i, p[i]] for i in range(n)] for p in itertools.permutations(range(n))]
-        for m in range(n):
+        for m in range(n + 1):
             want = _exact_normalized(terms, m)
             got = g_taylor_coefficients(ComplexMatrix(1.0 + b), m)
             for k in range(m + 1):
@@ -122,7 +122,7 @@ class TestAgreesWithExactArithmetic:
         exact = np.triu(exact, 1) + np.triu(exact, 1).T
         b = np.triu(b, 1) + np.triu(b, 1).T
         terms = [[exact[i, j] for i, j in pm] for pm in _perfect_matchings(list(range(two_n)))]
-        for m in range(two_n // 2):
+        for m in range(two_n // 2 + 1):
             want = _exact_normalized(terms, m)
             got = g_taylor_coefficients(SymmetricComplexMatrix(1.0 + b), m)
             for k in range(m + 1):
@@ -134,7 +134,7 @@ class TestAgreesWithExactArithmetic:
         exact, b = _rational_deviations(rng, (n, n, n))
         perms = list(itertools.permutations(range(n)))
         terms = [[exact[i, p[i], q[i]] for i in range(n)] for p in perms for q in perms]
-        for m in range(n):
+        for m in range(n + 1):
             want = _exact_normalized(terms, m)
             got = g_taylor_coefficients(ComplexTensor(1.0 + b), m)
             for k in range(m + 1):

@@ -372,14 +372,16 @@ class TestDiscPipeline:
 
 class TestStripPipeline:
     def test_permanent_certified(self):
+        # n = 12 needs all 13 coefficients, past the n! full expansion
         rng = np.random.default_rng(50)
-        a = ComplexMatrix(rng.uniform(0.7, 1.0, (4, 4)))
-        rep = approx_log_strip(a, 0.7, 0.1)
-        assert rep.pipeline == "strip"
-        assert rep.rho is not None and 0 < rep.rho <= 1
-        assert rep.phi_degree >= 14
-        exact = complex(np.log(permanent_exact(a)))
-        assert abs(rep.log_value - exact) <= rep.error_bound <= 0.1
+        for n in (4, 12):
+            a = ComplexMatrix(rng.uniform(0.7, 1.0, (n, n)))
+            rep = approx_log_strip(a, 0.7, 0.1)
+            assert rep.pipeline == "strip"
+            assert rep.rho is not None and 0 < rep.rho <= 1
+            assert rep.phi_degree >= 14
+            exact = complex(np.log(permanent_exact(a)))
+            assert abs(rep.log_value - exact) <= rep.error_bound <= 0.1
 
     def test_hafnian_certified(self):
         rng = np.random.default_rng(51)

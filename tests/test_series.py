@@ -86,6 +86,28 @@ class TestSeriesReciprocal:
         want[0] = 1.0
         assert np.abs(prod - want).max() < 1e-12
 
+    @pytest.mark.parametrize("out_len", [1, 2, 255, 256, 257, 513, 1000, 4097])
+    def test_matches_direct_recurrence(self, out_len):
+        # around the 256-term base case and odd Newton targets, with c both
+        # shorter and longer than out_len. Roots near +-1 keep 1/c from
+        # decaying, and the tail stays below min |short| on the unit disk
+        # (about 1e-3), so c has no zero there
+        rng = np.random.default_rng(out_len)
+        short = np.array([1.0])
+        for rho in (1.001, -1.001, 3.0):
+            short = np.convolve(short, np.array([1.0, -1.0 / rho]))
+        tail = 1e-5 * rng.standard_normal(out_len + 7) * 0.9 ** np.arange(out_len + 7)
+        long = np.concatenate((short, tail))
+        for c in (short, long):
+            want = np.zeros(out_len)
+            want[0] = 1.0 / c[0]
+            for k in range(1, out_len):
+                jmax = min(k, c.size - 1)
+                want[k] = -np.dot(c[1 : jmax + 1], want[k - jmax : k][::-1]) / c[0]
+            got = series_reciprocal(c, out_len)
+            assert got.shape == (out_len,)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_crosses_newton_stages(self):
         # out_len far above the 256-term base case exercises doubling; the
         # tail decays below the FFT noise floor so it gets an absolute bound
@@ -125,19 +147,27 @@ class TestSeriesLog:
 
     def test_prefix_sum_direct_vs_fft(self):
         # same polynomial through the O(m^2) recurrence and the FFT route,
-        # at a size above the reciprocal base case
+        # around the reciprocal base case and both parities of m, with c
+        # shorter and longer than m + 1
         roots = np.array([1.3, 2.0, -1.7, 4.0, -6.0])
         c = np.array([1.0])
         for rho in roots:
             c = np.convolve(c, np.array([1.0, -1.0 / rho]))
-        m = 5000
-        fft_val = series_log_prefix_sum(c, m)
-        direct = series_log_coeffs_direct(c, m).sum()
         closed = np.log(np.abs(1.0 - 1.0 / roots)).sum()
         signs = np.prod(np.sign(1.0 - 1.0 / roots))
         assert signs > 0
-        assert fft_val == pytest.approx(direct, abs=1e-12)
-        assert fft_val == pytest.approx(closed, abs=1e-10)
+        for m in (1, 2, 255, 256, 257, 511, 512, 513, 5000, 5001):
+            fft_val = series_log_prefix_sum(c, m)
+            direct = series_log_coeffs_direct(c, m).sum()
+            assert fft_val == pytest.approx(direct, abs=1e-12)
+            if m >= 255:  # the truncated tail is below 1.3^-255
+                assert fft_val == pytest.approx(closed, abs=1e-10)
+            # the tail stays below min |c| on the unit disk (about 0.03)
+            rng = np.random.default_rng(m)
+            tail = 1e-4 * rng.standard_normal(m + 9) * 0.99 ** np.arange(m + 9)
+            long = np.concatenate((c, tail))
+            direct = series_log_coeffs_direct(long, m).sum()
+            assert series_log_prefix_sum(long, m) == pytest.approx(direct, abs=1e-12)
 
     def test_prefix_sum_zero_constant_rejected(self):
         with pytest.raises(ZeroBaseValue):
