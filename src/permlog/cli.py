@@ -8,6 +8,7 @@ byte-identical output apart from the elapsed_s fields.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -55,6 +56,23 @@ def _nested_to_complex(entries, depth):
     return [_nested_to_complex(e, depth - 1) for e in entries]
 
 
+def _entries_array(entries, depth):
+    """Entries nested `depth` deep as a complex array. Uniform files of bare
+    numbers or of [re, im] pairs convert in one numpy call; anything else
+    (mixed numbers and pairs, or malformed entries, which raise ValueError)
+    goes entry by entry."""
+    try:
+        arr = np.array(entries)
+    except (ValueError, TypeError):
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf":
+        if arr.ndim == depth:
+            return arr.astype(np.complex128)
+        if arr.ndim == depth + 1 and arr.shape[-1] == 2:
+            return arr[..., 0] + 1j * arr[..., 1]
+    return np.array(_nested_to_complex(entries, depth), dtype=np.complex128)
+
+
 def load_instance(path):
     """Read an instance JSON file into the matching domain object."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -63,14 +81,14 @@ def load_instance(path):
         raise ValueError(f"{path}: instance file needs 'kind' and 'entries'")
     kind = data["kind"]
     if kind == "matrix":
-        arr = np.array(_nested_to_complex(data["entries"], 2), dtype=np.complex128)
+        arr = _entries_array(data["entries"], 2)
         value = ComplexMatrix(arr)
         declared = data.get("n")
         if declared is not None and declared != value.n:
             raise ValueError(f"{path}: declared n={declared} but entries are {value.n}x{value.n}")
         return value
     if kind == "symmetric":
-        arr = np.array(_nested_to_complex(data["entries"], 2), dtype=np.complex128)
+        arr = _entries_array(data["entries"], 2)
         value = SymmetricComplexMatrix(arr)
         declared = data.get("two_n")
         if declared is not None and declared != value.two_n:
@@ -82,7 +100,7 @@ def load_instance(path):
         d = data.get("d")
         if not isinstance(d, int) or d < 2:
             raise ValueError(f"{path}: tensor instances need an integer 'd' >= 2")
-        arr = np.array(_nested_to_complex(data["entries"], d), dtype=np.complex128)
+        arr = _entries_array(data["entries"], d)
         value = ComplexTensor(arr)
         declared = data.get("n")
         if declared is not None and declared != value.n:
@@ -419,7 +437,10 @@ def cmd_phi_table(args):
 # argument wiring
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process; each parse_args call
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="permlog",
         description="Certified approximation of log-permanents, log-hafnians, "

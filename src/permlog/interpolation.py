@@ -8,12 +8,8 @@ reaches inputs that are only strip-bounded. Every report carries the degree
 used and the certified remainder bound.
 """
 
-import atexit
 import itertools
 import math
-import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -24,7 +20,6 @@ from .core import (
     ComplexTensor,
     SymmetricComplexMatrix,
     UnivariatePolynomial,
-    poly_compose_truncated,
 )
 from .errors import (
     BetaNotGreaterThanOne,
@@ -46,12 +41,9 @@ from .regions import (
     region_eta_max,
     tau_bound,
 )
-from .series import (
-    compensated_total,
-    series_log_coeffs_direct,
-    series_log_prefix_sum,
-    series_mul,
-)
+# series_mul stays bound here, unused: perfbench/test_refs.py checks that its
+# tracer rebinds this name
+from .series import series_log_prefix_sum, series_mul  # noqa: F401
 
 __all__ = [
     "ApproxReport",
@@ -78,8 +70,6 @@ MAX_STRIP_DEGREE = 1 << 26
 
 # largest m handled in derivative space before switching to coefficients
 _DERIVATIVE_SPACE_LIMIT = 170
-
-_SMALL_COMPOSE_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +535,8 @@ def taylor_error_bound(deg_g, beta, m):
 def choose_degree(deg_g, beta, epsilon, limit=10**9):
     """Smallest m with taylor_error_bound(deg_g, beta, m) <= epsilon.
 
-    The bound is monotone decreasing in m, so this is a linear scan; it runs
-    in numpy chunks of doubling size so degrees ~1e8 still cost well under a
-    second. The scan compares logs, so its hit is then settled against
-    taylor_error_bound itself, which decides exact ties.
+    The bound is monotone decreasing in m, so this bisects [0, limit] on
+    taylor_error_bound itself, which also decides exact ties.
     """
     if not epsilon > 0:
         raise ValueError(f"choose_degree: epsilon must be > 0, got {epsilon}")
@@ -556,27 +544,17 @@ def choose_degree(deg_g, beta, epsilon, limit=10**9):
         raise BetaNotGreaterThanOne(f"choose_degree: beta={beta} must exceed 1")
     if deg_g == 0:
         return 0
-    target = math.log(epsilon)
-    const = math.log(deg_g) - math.log(beta - 1.0)
-    log_beta = math.log(beta)
-    lo = 0
-    chunk = 4096
-    while lo <= limit:
-        ms = np.arange(lo, min(lo + chunk, limit + 1), dtype=np.float64)
-        ok = const - np.log(ms + 1.0) - ms * log_beta <= target
-        hit = int(np.argmax(ok))
-        if ok[hit]:
-            m = lo + hit
-            while m > 0 and taylor_error_bound(deg_g, beta, m - 1) <= epsilon:
-                m -= 1
-            while taylor_error_bound(deg_g, beta, m) > epsilon:
-                m += 1
-            if m > limit:
-                break
-            return m
-        lo += ms.size
-        chunk *= 2
-    raise BudgetExceeded(f"choose_degree: certified degree exceeds {limit}")
+    if taylor_error_bound(deg_g, beta, limit) > epsilon:
+        raise BudgetExceeded(f"choose_degree: certified degree exceeds {limit}")
+    # the bound exceeds epsilon at lo (or lo = -1) and holds at hi
+    lo, hi = -1, limit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if taylor_error_bound(deg_g, beta, mid) <= epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -967,61 +945,50 @@ def _strip_parameters(s, d):
     return e, xi, zeta, min(rho, 1.0)
 
 
-class _PowerPrefixStore:
-    """Shared phi-power prefixes phi^1..phi^kmax truncated to m+1 terms.
+# block length of the final alpha^j pass, which is an outer product of
+# alpha^(B q) and alpha^r so that only ~m/B + B exponentials are taken
+_ALPHA_BLOCK = 1024
 
-    Rebuilt when rho, the degree, or the power count grows. Large prefixes
-    (over ~64 MB each) are staged to disk and memory-mapped so five instances
-    in a row do not each pay the build cost or the residency.
+
+def _compose_phi(rhat, phi, m):
+    """Coefficients 0..m of r(phi(z)), r(x) = sum_k rhat_k x^k real, in
+    O(deg r * m) work and no FFT.
+
+    phi' = (alpha/sigma)(1 - (alpha z)^N)/(1 - alpha z), so phi^k = k L[phi^(k-1)]
+    with L f = (alpha/sigma) int_0^z (1 - (alpha t)^N) f(t)/(1 - alpha t) dt,
+    and Horner reads r(phi) = rhat_0 + L[rhat_1 + 2 L[rhat_2 + 3 L[rhat_3 + ...]]].
+    On the scaled coefficients v_j = f_j alpha^(-j), the factor
+    1 - (alpha z)^N is v_j - v_(j-N) (needed only when N < m) and L is a
+    prefix sum times 1/((j+1) sigma). v grows only polynomially in j; one
+    last pass multiplies alpha^j back.
     """
-
-    _DISK_THRESHOLD = 1 << 23
-
-    def __init__(self):
-        self.key = None
-        self.arrays = None
-        self.tempdir = None
-
-    def _clear(self):
-        self.key = None
-        self.arrays = None
-        if self.tempdir is not None:
-            shutil.rmtree(self.tempdir, ignore_errors=True)
-            self.tempdir = None
-
-    def get(self, phi, m, kmax):
-        key = (phi.rho, m, kmax)
-        if self.key is not None and self.key[0] == phi.rho:
-            have_m, have_k = self.key[1], self.key[2]
-            if have_m >= m and have_k >= kmax:
-                return [arr[: m + 1] for arr in self._load()[:kmax]]
-        self._clear()
-        first = phi.coeff_prefix(m + 1)
-        arrays = [first]
-        for _ in range(kmax - 1):
-            arrays.append(series_mul(arrays[-1], first, m + 1))
-        if m + 1 > self._DISK_THRESHOLD:
-            self.tempdir = tempfile.mkdtemp(prefix="permlog-phi-")
-            paths = []
-            for i, arr in enumerate(arrays):
-                path = os.path.join(self.tempdir, f"pow{i + 1}.npy")
-                np.save(path, arr)
-                paths.append(path)
-            del arrays
-            self.arrays = paths
-        else:
-            self.arrays = arrays
-        self.key = key
-        return [arr[: m + 1] for arr in self._load()[:kmax]]
-
-    def _load(self):
-        if self.tempdir is not None:
-            return [np.load(p, mmap_mode="r") for p in self.arrays]
-        return self.arrays
-
-
-_POWER_STORE = _PowerPrefixStore()
-atexit.register(_POWER_STORE._clear)
+    deg = rhat.size - 1
+    block = _ALPHA_BLOCK
+    rows = m // block + 1
+    # v slides one slot down per Horner step, so every step works in place
+    buf = np.zeros(max(rows * block, m + 1 + deg), dtype=np.float64)
+    buf[deg] = rhat[deg]
+    if deg:
+        inv = np.arange(1, m + 1, dtype=np.float64)
+        inv *= phi.sigma
+        np.reciprocal(inv, out=inv)
+        big_n = phi.N
+        for k in range(deg, 0, -1):
+            # v = buf[k : k + m + 1] becomes buf[k - 1 : k + m]
+            cs = buf[k : k + m]
+            np.cumsum(cs, out=cs)
+            if big_n < m:
+                cs[big_n:] -= cs[:-big_n].copy()
+            cs *= inv
+            if k > 1:
+                cs *= k
+            buf[k - 1] = rhat[k - 1]
+        del inv
+    log_alpha = math.log(phi.alpha)
+    grid = buf[: rows * block].reshape(rows, block)
+    grid *= np.exp(np.arange(rows, dtype=np.float64) * (block * log_alpha))[:, None]
+    grid *= np.exp(np.arange(block, dtype=np.float64) * log_alpha)
+    return buf[: m + 1]
 
 
 def _require_real(arr, where):
@@ -1037,9 +1004,11 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     in a strip sense: matrix kinds with entries in [delta, 1] (delta_or_eta =
     delta), tensors with |1 - a| <= eta (delta_or_eta = eta).
 
-    Builds phi for the balanced rho, composes g = r(phi(z)) truncated to the
-    certified degree m, and sums the log-series prefix. Small m runs the
-    exact polynomial path; large m runs the FFT series engine.
+    Builds phi for the balanced rho, takes the normalized coefficients r of
+    g up to min(m, n) from the engine, composes r(phi(z)) to the certified
+    degree m through phi's own differential equation (_compose_phi), and
+    sums the first m log-series coefficients with the FFT series engine.
+    Degree 0 returns ln g(0).
     """
     t0 = time.perf_counter()
     info = _classify(value)
@@ -1094,22 +1063,11 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
         raise BudgetExceeded(
             f"approx_log_strip: certified degree {m} exceeds the supported {MAX_STRIP_DEGREE}"
         )
-    mm = min(m, info.n)
-    chat = g_taylor_coefficients(value, mm, budget)
-    rhat = np.ascontiguousarray(chat.real)
-    if m <= _SMALL_COMPOSE_LIMIT:
-        phi_pref = UnivariatePolynomial(phi.coeff_prefix(min(m, phi.N) + 1))
-        comp = poly_compose_truncated(UnivariatePolynomial(rhat), phi_pref, m)
-        c = np.ascontiguousarray(comp.coeffs.real)
-        psi = series_log_coeffs_direct(c, m)
-        total = info.log_g0 + compensated_total(psi)
+    if m == 0:
+        total = info.log_g0
     else:
-        powers = _POWER_STORE.get(phi, m, mm) if mm >= 1 else []
-        g_c = np.zeros(m + 1, dtype=np.float64)
-        g_c[0] = rhat[0]
-        for k in range(1, mm + 1):
-            g_c += rhat[k] * powers[k - 1]
-        del powers
+        chat = g_taylor_coefficients(value, min(m, info.n), budget)
+        g_c = _compose_phi(chat.real, phi, m)
         total = info.log_g0 + series_log_prefix_sum(g_c, m)
         del g_c
     return ApproxReport(

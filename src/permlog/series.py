@@ -4,11 +4,13 @@ Everything here operates on plain float64 numpy arrays of ascending
 coefficients (index k = coefficient of z^k) and is internal plumbing for the
 strip pipeline. Products use the real FFT above a small-size threshold. The
 reciprocal runs Newton doubling on a schedule planned down from its target
-length, with one wrap-tolerant cyclic product per stage. The log-series sum
-divides c'/c by Karp-Markstein: a reciprocal to half the length, then
+length; each stage's wrap-tolerant product and its update share one
+transform of r. The log-series sum divides c'/c by Karp-Markstein: a
+reciprocal to half the length, whose transform serves both halves, then
 products of length ~m, so the largest transforms are ~m long instead of
 ~2m. Memory is the binding constraint at the top sizes, so intermediates
-are freed eagerly.
+are freed eagerly. series_log_coeffs_direct, the O(m^2) recurrence, is the
+reference the FFT route is tested against.
 """
 
 import math
@@ -77,6 +79,26 @@ def _cyclic_mul(a, b, size):
     return out
 
 
+def _transformed_mul(fa, b, size):
+    """Cyclic convolution of length `size` of b with the array whose rfft at
+    `size` is fa; b is zero-padded to size."""
+    fb = np.fft.rfft(b, size)
+    fb *= fa
+    out = np.fft.irfft(fb, size)
+    del fb
+    return out
+
+
+def _multiplier(r, size):
+    """b, count -> first count terms of r*b, for products of at most `size`
+    terms. A short r multiplies directly through series_mul; a long one
+    shares one rfft of r at `size` among all its products."""
+    if r.size * r.size <= _DIRECT_MUL_CUTOFF:
+        return lambda b, count: series_mul(r, b, count)
+    fr = np.fft.rfft(r, size)
+    return lambda b, count: _transformed_mul(fr, b, size)[:count]
+
+
 def series_reciprocal(c, out_len):
     """First out_len coefficients of 1/c, requiring c[0] != 0.
 
@@ -84,9 +106,9 @@ def series_reciprocal(c, out_len):
     out_len, ceil(out_len/2), ... down to the <= 256-term direct base case,
     so each stage doubles exactly into its target. A stage growing r from
     ell to nxt terms needs c*r only on [ell, nxt), and a cyclic convolution
-    of length >= nxt wraps only terms that land below ell, so each stage
-    costs one cyclic product at ~nxt plus one linear product of length
-    nxt - ell for the update.
+    of length >= nxt wraps only terms that land below ell. The update
+    r*err has nxt - 1 terms and does not wrap at that length either, so
+    above the direct cutoff both products share one transform of r.
     """
     if c.size == 0 or c[0] == 0:
         raise ZeroBaseValue("series_reciprocal: constant term must be nonzero")
@@ -104,14 +126,21 @@ def series_reciprocal(c, out_len):
         r[k] = -s / c[0]
     for nxt in reversed(targets):
         ell = r.size
-        cyc = _cyclic_mul(c[:nxt], r, good_fft_size(nxt))
-        err = cyc[ell:nxt]
-        del cyc
-        upd = series_mul(r, err, nxt - ell)
+        size = good_fft_size(nxt)
+        if ell * (nxt - ell) <= _DIRECT_MUL_CUTOFF:
+            err = _cyclic_mul(c[:nxt], r, size)[ell:nxt]
+            upd = series_mul(r, err, nxt - ell)
+        else:
+            # r*err has nxt - 1 terms, so at size it does not wrap: one
+            # transform of r serves both products
+            fr = np.fft.rfft(r, size)
+            err = _transformed_mul(fr, c[:nxt], size)[ell:nxt]
+            upd = _transformed_mul(fr, err, size)[: nxt - ell]
+            del fr
         del err
         grown = np.empty(nxt, dtype=np.float64)
         grown[:ell] = r
-        grown[ell:] = -upd
+        np.negative(upd, out=grown[ell:])
         del upd
         r = grown
     return r
@@ -119,8 +148,8 @@ def series_reciprocal(c, out_len):
 
 def series_log_coeffs_direct(c, m):
     """Coefficients psi_1..psi_m of log(c / c[0]) by the triangular recurrence
-    k*psi_k = k*c~_k - sum_{j=1..k-1} j*psi_j*c~_{k-j}. O(m^2); reference
-    path and small-m workhorse."""
+    k*psi_k = k*c~_k - sum_{j=1..k-1} j*psi_j*c~_{k-j}. O(m^2); the
+    reference for series_log_prefix_sum."""
     if c.size == 0 or c[0] == 0:
         raise ZeroBaseValue("series_log_coeffs_direct: constant term must be nonzero")
     ct = np.zeros(m + 1, dtype=np.float64)
@@ -162,23 +191,31 @@ def series_log_prefix_sum(c, m):
     low half of h is q0 = c~' r mod z^k and the high half is
     r (c~'[k:m] - (c~ q0)[k:m]) mod z^(m-k). The middle product (c~ q0)[k:m]
     is alias-free in a cyclic convolution of length >= m, so the reciprocal
-    runs to k terms only and the largest transform is ~m long.
+    runs to k terms only and the largest transform is ~m long. Both
+    products with r fit that length, so they share one transform of r.
     """
     if c.size == 0 or c[0] == 0:
         raise ZeroBaseValue("series_log_prefix_sum: constant term must be nonzero")
     ct = np.zeros(m + 1, dtype=np.float64)
     take = min(m + 1, c.size)
-    ct[:take] = c[:take] / c[0]
+    np.divide(c[:take], c[0], out=ct[:take])
     k = (m + 1) // 2
-    r = series_reciprocal(ct, k)
+    size = good_fft_size(m)
+    times_r = _multiplier(series_reciprocal(ct, k), size)
+    q0 = times_r(ct[1 : k + 1] * np.arange(1, k + 1, dtype=np.float64), k)
     h = np.empty(m, dtype=np.float64)
-    h[:k] = series_mul(ct[1 : k + 1] * np.arange(1, k + 1, dtype=np.float64), r, k)
+    h[:k] = q0
+    del q0
     if m > k:
         tail = ct[k + 1 :] * np.arange(k + 1, m + 1, dtype=np.float64)
-        tail -= _cyclic_mul(ct[:m], h[:k], good_fft_size(m))[k:m]
+        # the middle product, with c~ released before the second transform
+        spec = np.fft.rfft(ct[:m], size)
         del ct
-        h[k:] = series_mul(r, tail, m - k)
+        spec *= np.fft.rfft(h[:k], size)
+        tail -= np.fft.irfft(spec, size)[k:m]
+        del spec
+        h[k:] = times_r(tail, m - k)
         del tail
-    del r
+    del times_r
     h /= np.arange(1, m + 1, dtype=np.float64)
     return compensated_total(h)

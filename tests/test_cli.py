@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from permlog import ComplexMatrix, ComplexTensor, SymmetricComplexMatrix, permanent_exact
+from permlog import cli
 from permlog.cli import (
     EXIT_BUDGET,
     EXIT_CERTIFICATE,
@@ -81,6 +82,79 @@ class TestInstanceFiles:
         p = tmp_path / "bad_n.json"
         p.write_text(json.dumps({"kind": "matrix", "n": 3, "entries": [[1, 2], [3, 4]]}))
         assert main(["exact", str(p)]) == EXIT_INPUT
+
+
+class TestInstanceEntries:
+    def write(self, tmp_path, data):
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(data))
+        return p
+
+    def test_uniform_numbers_and_pairs(self, tmp_path):
+        numbers = [[0.9, 1], [0.8, 1.1]]
+        loaded = load_instance(self.write(tmp_path, {"kind": "matrix", "entries": numbers}))
+        assert loaded.array.dtype == np.complex128
+        assert np.array_equal(loaded.array, np.array([[0.9, 1.0], [0.8, 1.1]], dtype=complex))
+        pairs = [[[0.9, 0.1], [1, 0]], [[0.8, -0.2], [1.1, 0.0]]]
+        loaded = load_instance(self.write(tmp_path, {"kind": "matrix", "entries": pairs}))
+        assert np.array_equal(loaded.array, np.array([[0.9 + 0.1j, 1.0], [0.8 - 0.2j, 1.1]]))
+        cube = np.arange(8.0).reshape(2, 2, 2) / 8.0 + 0.5
+        data = {"kind": "tensor", "d": 3, "entries": np.stack((cube, -cube), axis=-1).tolist()}
+        loaded = load_instance(self.write(tmp_path, data))
+        assert isinstance(loaded, ComplexTensor)
+        assert np.array_equal(loaded.array, cube - 1j * cube)
+
+    def test_mixed_numbers_and_pairs(self, tmp_path):
+        data = {"kind": "matrix", "n": 2, "entries": [[1.0, [0.9, 0.1]], [0.8, 1.1]]}
+        loaded = load_instance(self.write(tmp_path, data))
+        assert np.array_equal(loaded.array, np.array([[1.0, 0.9 + 0.1j], [0.8, 1.1]]))
+
+    @pytest.mark.parametrize(
+        "kind, entries",
+        [
+            ("matrix", [["a", "b"], ["c", "d"]]),
+            ("matrix", [["1.0", "0.5"], ["0.5", "1.0"]]),
+            ("matrix", [[1.0, "b"], [0.5, 1.0]]),
+            ("matrix", [[None, 1.0], [0.5, 1.0]]),
+            ("matrix", [[1.0, 0.5], [0.5]]),
+            ("matrix", [[[1.0, 0.0], [1.0]], [[1.0, 0.0], [1.0, 0.0]]]),
+            ("matrix", [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]),
+            ("matrix", [1.0, 0.5, 0.5, 1.0]),
+            ("matrix", [[[[1.0, 0.0]]]]),
+            ("tensor", [[1.0, 0.5], [0.5, 1.0]]),
+        ],
+    )
+    def test_malformed_entries_rejected(self, tmp_path, kind, entries):
+        p = self.write(tmp_path, {"kind": kind, "d": 3, "entries": entries})
+        with pytest.raises(ValueError):
+            load_instance(p)
+        assert main(["exact", str(p)]) == EXIT_INPUT
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_successive_calls_parse_independently(self, capsys, matrix_file):
+        def rhos(argv):
+            assert main(argv) == EXIT_OK
+            return [row["rho"] for row in json.loads(capsys.readouterr().out)["results"]]
+
+        assert rhos(["phi-table", "--rho", "0.5", "--rho", "0.25"]) == [0.5, 0.25]
+        assert rhos(["phi-table"]) == [0.1, 0.25, 0.5, 1.0]
+        assert rhos(["phi-table", "--rho", "1.0"]) == [1.0]
+        assert rhos(["phi-table"]) == [0.1, 0.25, 0.5, 1.0]
+        path, _ = matrix_file
+        assert main(["exact", str(path), "--format", "text"]) == EXIT_OK
+        assert "command: exact" in capsys.readouterr().out
+        assert main(["exact", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["command"] == "exact"
+        assert main(["approx", str(path), "--eta", "0.3", "--force"]) == EXIT_OK
+        assert "force" in capsys.readouterr().err
+        assert main(["approx", str(path), "--eta", "0.3"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"]["approx"]["error_bound"] is not None
 
 
 class TestExactCommand:

@@ -33,6 +33,9 @@ from permlog import (
     log_derivatives,
     taylor_error_bound,
 )
+from permlog.core import UnivariatePolynomial, poly_compose_truncated
+from permlog.interpolation import _compose_phi, g_taylor_coefficients
+from permlog.series import compensated_total, series_log_coeffs_direct
 
 
 def matrix(rows):
@@ -185,8 +188,29 @@ class TestDegreeSelection:
             assert taylor_error_bound(deg_g, 5.0, m) <= eps
             assert m == 0 or taylor_error_bound(deg_g, 5.0, m - 1) > eps
 
+    def test_choose_degree_matches_brute_force_scan(self):
+        # the smallest m whose bound certifies, found by walking m up from 0;
+        # the grid includes the six tie points above
+        def scan(deg_g, beta, eps):
+            m = 0
+            while taylor_error_bound(deg_g, beta, m) > eps:
+                m += 1
+            return m
+
+        grid = [(d, b, e) for d in (1, 2, 5, 20, 75, 125, 1000)
+                for b in (1.01, 1.1, 1.5, 2.0, 5.0)
+                for e in (0.5, 1e-1, 1e-2, 1e-3, 1e-6)]
+        grid += [(d, 5.0, e) for d, e in [(2, 1e-3), (3, 1e-2), (4, 1e-1), (20, 1e-2), (75, 1e-3), (125, 1e-2)]]
+        for deg_g, beta, eps in grid:
+            want = scan(deg_g, beta, eps)
+            assert choose_degree(deg_g, beta, eps) == want
+            assert choose_degree(deg_g, beta, eps, limit=want) == want
+            if want > 0:
+                with pytest.raises(BudgetExceeded):
+                    choose_degree(deg_g, beta, eps, limit=want - 1)
+
     def test_choose_degree_large_scan(self):
-        # beta near 1 forces a long scan through the chunked search
+        # beta near 1 puts the certified degree in the tens of thousands
         m = choose_degree(10**6, 1.001, 1e-3)
         assert taylor_error_bound(10**6, 1.001, m) <= 1e-3
         assert taylor_error_bound(10**6, 1.001, m - 1) > 1e-3
@@ -430,9 +454,81 @@ class TestStripPipeline:
         strip = approx_log_strip(a, 0.75, 0.05)
         assert abs(disc.log_value - strip.log_value) <= disc.error_bound + strip.error_bound
 
+    def test_degree_override_small(self):
+        # degree 0 is ln g(0); degrees 1 and 2 match the exact composition
+        a = ComplexMatrix(np.random.default_rng(54).uniform(0.7, 1.0, (4, 4)))
+        rep = approx_log_strip(a, 0.7, 0.1, degree=0, force=True)
+        assert rep.degree_used == 0 and rep.error_bound is None
+        assert rep.log_value == pytest.approx(math.log(24.0), abs=1e-15)
+        for m in (1, 2):
+            rep = approx_log_strip(a, 0.7, 0.1, degree=m, force=True)
+            assert rep.degree_used == m and rep.error_bound is None
+            assert rep.log_value.real == pytest.approx(_direct_strip_log(a, rep), abs=1e-14)
+
+    def test_small_degrees_match_direct_route(self):
+        # the route these degrees took before: exact truncated composition
+        # and the O(m^2) log recurrence. per n=6 at delta 0.7 has N < m
+        rng = np.random.default_rng(55)
+        raw = rng.uniform(0.7, 1.0, (6, 6))
+        cases = [
+            (ComplexMatrix(rng.uniform(0.7, 1.0, (6, 6))), 0.7, {}),
+            (SymmetricComplexMatrix((raw + raw.T) / 2), 0.7, {}),
+            (ComplexTensor(rng.uniform(0.8, 1.0, (3, 3, 3))), 0.2, {}),
+            (ComplexMatrix(rng.uniform(0.6, 1.0, (5, 5))), 0.6, {"degree": 4096, "force": True}),
+        ]
+        reps = []
+        for value, param, kw in cases:
+            rep = approx_log_strip(value, param, 0.1, **kw)
+            assert rep.degree_used <= 4096
+            assert rep.log_value.real == pytest.approx(_direct_strip_log(value, rep), abs=1e-13)
+            reps.append(rep)
+        assert reps[0].phi_degree < reps[0].degree_used
+
     def test_report_serialization(self):
         rep = approx_log_strip(ComplexMatrix(np.full((3, 3), 0.85)), 0.8, 0.1)
         d = rep.to_dict()
         assert set(d) >= {"log_value", "degree_used", "error_bound", "pipeline",
                           "beta_used", "deg_g", "g0", "elapsed_s", "rho", "phi_degree"}
         assert d["log_value"][1] == pytest.approx(0.0, abs=1e-12)
+
+
+def _direct_strip_log(value, rep):
+    """ln g(0) + sum_{k<=m} psi_k of ln r(phi(z)) through the exact truncated
+    composition and the O(m^2) log recurrence."""
+    phi = build_phi(rep.rho)
+    m = rep.degree_used
+    n = value.two_n // 2 if isinstance(value, SymmetricComplexMatrix) else value.n
+    chat = g_taylor_coefficients(value, min(m, n))
+    inner = UnivariatePolynomial(phi.coeff_prefix(min(m, phi.N) + 1))
+    comp = poly_compose_truncated(UnivariatePolynomial(chat.real), inner, m)
+    psi = series_log_coeffs_direct(np.ascontiguousarray(comp.coeffs.real), m)
+    return math.log(rep.g0.real) + compensated_total(psi)
+
+
+class TestComposePhi:
+    @pytest.mark.parametrize("rho", [1.0, 0.5, 0.3])
+    def test_matches_truncated_composition(self, rho):
+        # m below, at and above N (the factor 1 - (alpha z)^N only acts when
+        # N < m), and r of degree 0..8 with mixed signs
+        phi = build_phi(rho)
+        rng = np.random.default_rng(int(rho * 10))
+        for m in (phi.N - 3, phi.N, phi.N + 5, 2 * phi.N + 3):
+            inner = UnivariatePolynomial(phi.coeff_prefix(min(m, phi.N) + 1))
+            for deg in range(9):
+                rhat = rng.uniform(-1.0, 1.0, deg + 1)
+                got = _compose_phi(rhat, phi, m)
+                want = np.zeros(m + 1)
+                coeffs = poly_compose_truncated(UnivariatePolynomial(rhat), inner, m).coeffs.real
+                want[: coeffs.size] = coeffs
+                assert got.shape == (m + 1,)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_powers_of_phi(self):
+        # r(x) = x^k gives phi^k: zero below z^k, (alpha/sigma)^k at z^k
+        phi = build_phi(0.2)
+        for k in range(1, 5):
+            rhat = np.zeros(k + 1)
+            rhat[k] = 1.0
+            got = _compose_phi(rhat, phi, 50)
+            assert np.all(got[:k] == 0.0)
+            assert got[k] == pytest.approx((phi.alpha / phi.sigma) ** k, rel=1e-14)

@@ -86,10 +86,12 @@ class TestSeriesReciprocal:
         want[0] = 1.0
         assert np.abs(prod - want).max() < 1e-12
 
-    @pytest.mark.parametrize("out_len", [1, 2, 255, 256, 257, 513, 1000, 4097])
+    @pytest.mark.parametrize("out_len", [1, 2, 255, 256, 257, 513, 1000, 1024, 1025, 1026, 4097])
     def test_matches_direct_recurrence(self, out_len):
-        # around the 256-term base case and odd Newton targets, with c both
-        # shorter and longer than out_len. Roots near +-1 keep 1/c from
+        # around the 256-term base case, odd Newton targets and the first
+        # stage that shares one transform of r between its two products
+        # (out_len 1025: r grows from 513 terms), with c both shorter and
+        # longer than out_len. Roots near +-1 keep 1/c from
         # decaying, and the tail stays below min |short| on the unit disk
         # (about 1e-3), so c has no zero there
         rng = np.random.default_rng(out_len)
@@ -147,7 +149,8 @@ class TestSeriesLog:
 
     def test_prefix_sum_direct_vs_fft(self):
         # same polynomial through the O(m^2) recurrence and the FFT route,
-        # around the reciprocal base case and both parities of m, with c
+        # around the reciprocal base case, both parities of m and the first
+        # m whose products with r share one transform (m = 1025), with c
         # shorter and longer than m + 1
         roots = np.array([1.3, 2.0, -1.7, 4.0, -6.0])
         c = np.array([1.0])
@@ -156,7 +159,7 @@ class TestSeriesLog:
         closed = np.log(np.abs(1.0 - 1.0 / roots)).sum()
         signs = np.prod(np.sign(1.0 - 1.0 / roots))
         assert signs > 0
-        for m in (1, 2, 255, 256, 257, 511, 512, 513, 5000, 5001):
+        for m in (1, 2, 255, 256, 257, 511, 512, 513, 1024, 1025, 1026, 5000, 5001):
             fft_val = series_log_prefix_sum(c, m)
             direct = series_log_coeffs_direct(c, m).sum()
             assert fft_val == pytest.approx(direct, abs=1e-12)
