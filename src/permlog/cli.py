@@ -223,25 +223,14 @@ def cmd_exact(args):
 
 
 def _run_approx(value, args):
-    if args.method == "disc":
+    if args.method in ("disc", "l1"):
         if args.eta is None:
-            raise ValueError("--method disc needs --eta")
+            raise ValueError(f"--method {args.method} needs --eta")
         return approx_log_disc(
             value,
             eta=args.eta,
             epsilon=args.epsilon,
-            budget=args.budget,
-            degree=args.degree,
-            force=args.force,
-        )
-    if args.method == "l1":
-        if args.eta is None:
-            raise ValueError("--method l1 needs --eta")
-        return approx_log_disc(
-            value,
-            eta=args.eta,
-            epsilon=args.epsilon,
-            l1=True,
+            l1=args.method == "l1",
             budget=args.budget,
             degree=args.degree,
             force=args.force,

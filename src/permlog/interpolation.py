@@ -43,7 +43,12 @@ from .regions import (
 )
 # series_mul stays bound here, unused: perfbench/test_refs.py checks that its
 # tracer rebinds this name
-from .series import series_log_prefix_sum, series_mul  # noqa: F401
+from .series import (  # noqa: F401
+    compensated_total,
+    series_log_coeffs_direct,
+    series_log_prefix_sum,
+    series_mul,
+)
 
 __all__ = [
     "ApproxReport",
@@ -67,9 +72,6 @@ DEFAULT_BUDGET = 10**8
 
 # degrees beyond this exceed the memory envelope of the series engine
 MAX_STRIP_DEGREE = 1 << 26
-
-# largest m handled in derivative space before switching to coefficients
-_DERIVATIVE_SPACE_LIMIT = 170
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +200,6 @@ def g_derivatives_tensor(ten, m, budget=DEFAULT_BUDGET):
     b = ten.array - 1.0
     out = np.zeros(m + 1, dtype=np.complex128)
     out[0] = float(math.factorial(n)) ** (d - 1)
-    rng_k = None
     for k in range(1, m + 1):
         tuples = _ordered_tuples(n, k)
         rng_k = np.arange(k)
@@ -564,7 +565,6 @@ def choose_degree(deg_g, beta, epsilon, limit=10**9):
 _PHI_PANEL_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0)
 _PHI_NODES_PER_PANEL = 32
 _PHI_DIRECT_EVAL_LIMIT = 4000
-_PHI_MATERIALIZE_LIMIT = 10**7
 
 
 def _phi_quadrature():
@@ -589,11 +589,11 @@ class PhiPolynomial:
 
     phi(0) = 0, phi(1) = 1, and the disc |z| <= beta maps into the strip
     -rho <= Re <= 1 + 2 rho, |Im| <= 2 rho. For very large N, sigma equals
-    1/rho up to a relative tail below 1e-20 and coefficient prefixes are
-    generated on demand instead of materializing the full polynomial.
+    1/rho up to a relative tail below 1e-20. Coefficients are generated on
+    demand by coeff_prefix; the full polynomial is never materialized.
     """
 
-    __slots__ = ("rho", "alpha", "beta", "N", "sigma", "_poly")
+    __slots__ = ("rho", "alpha", "beta", "N", "sigma")
 
     def __init__(self, rho):
         if not (isinstance(rho, (int, float)) and 0.0 < rho <= 1.0):
@@ -618,7 +618,6 @@ class PhiPolynomial:
             # tail beyond N is < alpha^(N+1)/((N+1)(1-alpha)), relatively ~1e-21
             sigma = 1.0 / rho
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_poly", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhiPolynomial is immutable")
@@ -633,18 +632,6 @@ class PhiPolynomial:
             j = np.arange(1, top + 1, dtype=np.float64)
             out[1 : top + 1] = np.exp(j * math.log(self.alpha) - np.log(j)) / self.sigma
         return out
-
-    @property
-    def poly(self):
-        if self.N > _PHI_MATERIALIZE_LIMIT:
-            raise SizeLimitExceeded(
-                f"PhiPolynomial: degree N={self.N} too large to materialize"
-            )
-        if self._poly is None:
-            object.__setattr__(
-                self, "_poly", UnivariatePolynomial(self.coeff_prefix(self.N + 1))
-            )
-        return self._poly
 
     def __call__(self, z):
         """Evaluate phi at complex points, vectorized.
@@ -820,54 +807,22 @@ def _taylor_prefix_coeffs(value, info, mm, budget):
     return out / out[0]
 
 
-def _log_coeff_prefix_windowed(chat, m):
-    """psi_1..psi_m of log of the polynomial with normalized coefficients
-    chat (chat[0] = 1, short array). O(m * deg) via the window recurrence
-    k psi_k = k chat_k - sum_{j=k-deg}^{k-1} j psi_j chat_{k-j}."""
-    deg = chat.size - 1
-    psi = np.zeros(m + 1, dtype=np.complex128)
-    jidx = np.arange(m + 1, dtype=np.float64)
-    for k in range(1, m + 1):
-        s = k * chat[k] if k <= deg else 0.0
-        j0 = max(1, k - deg)
-        if j0 <= k - 1:
-            s = s - np.dot(jidx[j0:k] * psi[j0:k], chat[k - j0 : 0 : -1][: k - j0])
-        psi[k] = s / k
-    return psi[1:]
-
-
-def _sum_log_terms_derivative_space(g_derivs_padded, log_g0):
-    """T_m(1) from derivative lists: ln g(0) + sum f^(k)(0)/k!."""
-    f_derivs = log_derivatives(g_derivs_padded)
-    acc = KahanSum()
-    inv_fact = 1.0
-    for k in range(1, g_derivs_padded.size):
-        inv_fact /= k
-        acc.add(f_derivs[k - 1] * inv_fact)
-    return log_g0 + acc.value
-
-
-def _sum_log_terms_coefficient_space(chat, m, log_g0):
-    """T_m(1) from normalized short coefficients, windowed recurrence."""
-    psi = _log_coeff_prefix_windowed(chat, m)
-    acc = KahanSum()
-    for k in range(psi.size):
-        acc.add(psi[k])
-    return log_g0 + acc.value
-
-
 def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree=None, force=False):
     """Certified approximation of ln per/haf/PER for inputs inside a disc
     (entrywise |1-a| <= eta) or line-sum (l1=True) region.
 
     beta = (region maximum)/eta; m = choose_degree(n, beta, epsilon) unless
-    `degree` overrides it. Raises RegionViolation when the input is outside
-    (unless force=True, which blanks the certificate).
+    `degree` overrides it. The normalized coefficients c_0..c_min(m,n) of g
+    go through the log-series recurrence series_log_coeffs_direct, and its
+    m terms are summed with compensation. Raises RegionViolation when the
+    input is outside (unless force=True, which blanks the certificate).
     """
     t0 = time.perf_counter()
     info = _classify(value)
     if not (0.0 < epsilon < 1.0):
         raise InfeasibleParameters(f"approx_log_disc: need 0 < epsilon < 1, got {epsilon}")
+    if not eta > 0.0:
+        raise InfeasibleParameters(f"approx_log_disc: need eta > 0, got {eta}")
     if l1:
         if info.shape == "per":
             kind = RegionKind.L1_PER
@@ -898,16 +853,7 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
         )
     mm = min(m, info.n)
     chat = _taylor_prefix_coeffs(value, info, mm, budget)
-    if m <= _DERIVATIVE_SPACE_LIMIT:
-        g_derivs = np.zeros(m + 1, dtype=np.complex128)
-        fact = 1.0
-        for k in range(mm + 1):
-            if k > 0:
-                fact *= k
-            g_derivs[k] = chat[k] * fact
-        total = _sum_log_terms_derivative_space(g_derivs, info.log_g0)
-    else:
-        total = _sum_log_terms_coefficient_space(chat, m, info.log_g0)
+    total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
     return ApproxReport(
         log_value=complex(total),
         degree_used=m,

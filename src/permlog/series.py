@@ -1,16 +1,18 @@
-"""Truncated real power-series arithmetic sized for degrees up to ~10^8.
+"""Truncated power-series arithmetic sized for degrees up to ~10^8.
 
-Everything here operates on plain float64 numpy arrays of ascending
-coefficients (index k = coefficient of z^k) and is internal plumbing for the
-strip pipeline. Products use the real FFT above a small-size threshold. The
+Arrays hold ascending coefficients (index k = coefficient of z^k). The FFT
+routines serve the strip pipeline and take float64 input; the log-series
+recurrence and the compensated sum also take complex input, for the disc
+pipeline. Products use the real FFT above a small-size threshold. The
 reciprocal runs Newton doubling on a schedule planned down from its target
 length; each stage's wrap-tolerant product and its update share one
 transform of r. The log-series sum divides c'/c by Karp-Markstein: a
 reciprocal to half the length, whose transform serves both halves, then
 products of length ~m, so the largest transforms are ~m long instead of
 ~2m. Memory is the binding constraint at the top sizes, so intermediates
-are freed eagerly. series_log_coeffs_direct, the O(m^2) recurrence, is the
-reference the FFT route is tested against.
+are freed eagerly. series_log_coeffs_direct, the O(m * deg c) recurrence,
+converts the disc pipeline's short coefficient lists and is the reference
+the FFT route is tested against.
 """
 
 import math
@@ -148,34 +150,38 @@ def series_reciprocal(c, out_len):
 
 def series_log_coeffs_direct(c, m):
     """Coefficients psi_1..psi_m of log(c / c[0]) by the triangular recurrence
-    k*psi_k = k*c~_k - sum_{j=1..k-1} j*psi_j*c~_{k-j}. O(m^2); the
-    reference for series_log_prefix_sum."""
+    k*psi_k = k*c~_k - sum_{j=k-deg..k-1} j*psi_j*c~_{k-j}, with
+    deg = min(c.size, m + 1) - 1 since c~_i vanishes past deg. O(m*deg) in
+    the dtype of c, real or complex. The disc pipeline's log conversion and
+    the reference for series_log_prefix_sum."""
     if c.size == 0 or c[0] == 0:
         raise ZeroBaseValue("series_log_coeffs_direct: constant term must be nonzero")
-    ct = np.zeros(m + 1, dtype=np.float64)
-    take = min(m + 1, c.size)
-    ct[:take] = c[:take] / c[0]
-    psi = np.zeros(m + 1, dtype=np.float64)
+    dtype = np.result_type(c, np.float64)
+    deg = min(c.size, m + 1) - 1
+    ct = np.zeros(m + 1, dtype=dtype)
+    ct[: deg + 1] = c[: deg + 1] / c[0]
+    psi = np.zeros(m + 1, dtype=dtype)
     jidx = np.arange(m + 1, dtype=np.float64)
     for k in range(1, m + 1):
-        s = k * ct[k]
-        if k > 1:
-            s -= np.dot(jidx[1:k] * psi[1:k], ct[k - 1 : 0 : -1])
+        j0 = max(1, k - deg)
+        s = k * ct[k] - np.dot(jidx[j0:k] * psi[j0:k], ct[k - j0 : 0 : -1])
         psi[k] = s / k
     return psi[1:]
 
 
 def compensated_total(values):
-    """Ascending-order compensated sum of a 1-d float array.
+    """Ascending-order compensated sum of a 1-d real or complex array; a
+    float for real input, a complex for complex input.
 
     Fixed chunking plus Kahan carry across chunks: deterministic for a given
     array, accurate enough for 1e8 terms.
     """
+    scalar = complex if np.iscomplexobj(values) else float
     total = 0.0
     carry = 0.0
     chunk = 1 << 16
     for lo in range(0, values.size, chunk):
-        v = float(np.sum(values[lo : lo + chunk]))
+        v = scalar(np.sum(values[lo : lo + chunk]))
         y = v - carry
         t = total + y
         carry = (t - total) - y

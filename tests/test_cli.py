@@ -210,6 +210,14 @@ class TestApproxCommand:
         path, _ = matrix_file
         assert main(["approx", str(path), "--method", "disc"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("method", ["disc", "l1"])
+    def test_zero_eta_exit_code(self, capsys, tmp_path, method):
+        # all ones is inside the region at eta = 0, where beta is undefined
+        p = tmp_path / "ones.json"
+        save_instance(ComplexMatrix(np.ones((3, 3))), p)
+        assert main(["approx", str(p), "--method", method, "--eta", "0"]) == EXIT_INPUT
+        assert "eta > 0" in capsys.readouterr().err
+
     def test_region_exit_code(self, tmp_path):
         a = np.ones((3, 3))
         a[0, 0] = 1.9

@@ -372,6 +372,13 @@ class TestDiscPipeline:
         exact = math.log(3.0) + 2.0 * math.log(1.00001)
         assert abs(rep.log_value - exact) <= rep.error_bound <= 0.5
 
+    @pytest.mark.parametrize("eta", [0.0, -0.1])
+    @pytest.mark.parametrize("l1", [False, True])
+    def test_nonpositive_eta_rejected(self, eta, l1):
+        # the all-ones matrix is inside every region, even at eta = 0
+        with pytest.raises(InfeasibleParameters):
+            approx_log_disc(ComplexMatrix(np.ones((3, 3))), eta, 0.1, l1=l1)
+
     def test_permanent_beyond_float_factorial(self):
         # n! overflows a float for n > 170; per(u u^T) = n! prod(u)^2
         u = 1.0 + 0.004 * np.sin(np.arange(180.0))
@@ -490,6 +497,58 @@ class TestStripPipeline:
         assert set(d) >= {"log_value", "degree_used", "error_bound", "pipeline",
                           "beta_used", "deg_g", "g0", "elapsed_s", "rho", "phi_degree"}
         assert d["log_value"][1] == pytest.approx(0.0, abs=1e-12)
+
+
+def _near_ones_instances():
+    """Complex per n=5, haf 2n=6 and PER 3x3x3 with |a - 1| <= 0.01, each
+    with its full expansion of g and its exact oracle."""
+    rng = np.random.default_rng(70)
+
+    def dev(shape):
+        return 0.01 * rng.uniform(0, 1, shape) * np.exp(2j * np.pi * rng.uniform(0, 1, shape))
+
+    raw = dev((6, 6))
+    return [
+        (ComplexMatrix(1 + dev((5, 5))), g_full_expansion_permanent, permanent_exact),
+        (SymmetricComplexMatrix(1 + (raw + raw.T) / 2), g_full_expansion_hafnian, hafnian_exact),
+        (ComplexTensor(1 + dev((3, 3, 3))), g_full_expansion_tensor, tensor_permanent_exact),
+    ]
+
+
+# low degrees, degrees around 170 where k! leaves the float range, and one
+# far beyond n
+_ROUTE_DEGREES = (0, 1, 2, 4, 169, 170, 171, 400)
+
+
+class TestDiscLogRoute:
+    def test_matches_derivative_space(self):
+        # ln g(0) + sum_k f^(k)(0)/k!, f = ln g, through log_derivatives on
+        # g's derivatives from the full expansion. The entries sit within
+        # 0.01 of 1, so f^(k)(0) stays finite up to k = 400.
+        for value, full, _ in _near_ones_instances():
+            coeffs = full(value).coeffs
+            n = coeffs.size - 1
+            for m in _ROUTE_DEGREES:
+                rep = approx_log_disc(value, 0.01, 0.5, degree=m)
+                g_derivs = np.zeros(m + 1, dtype=complex)
+                for k in range(min(m, n) + 1):
+                    g_derivs[k] = coeffs[k] * math.factorial(k)
+                want = complex(np.log(coeffs[0]))
+                for k, f in enumerate(log_derivatives(g_derivs), start=1):
+                    # k! overflows a float past 170; divide one factor at a time
+                    for j in range(1, k + 1):
+                        f /= j
+                    want += f
+                assert abs(rep.log_value - want) <= 1e-13, (type(value).__name__, m)
+
+    def test_matches_exact_oracle(self):
+        # the certificate bounds truncation only; at m >= 169 it underflows
+        # toward 0 and roundoff (~1e-15 here) dominates
+        for value, _, exact_fn in _near_ones_instances():
+            exact = complex(np.log(exact_fn(value)))
+            for m in _ROUTE_DEGREES:
+                rep = approx_log_disc(value, 0.01, 0.5, degree=m)
+                assert abs(rep.log_value - exact) <= rep.error_bound + 1e-13, (type(value).__name__, m)
 
 
 def _direct_strip_log(value, rep):

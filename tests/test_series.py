@@ -147,6 +147,33 @@ class TestSeriesLog:
         want = -np.sum((1.0 / roots[:, None]) ** ks[None, :], axis=0) / ks
         assert np.allclose(psi, want, rtol=1e-12, atol=1e-15)
 
+    def test_complex_log_one_minus_az(self):
+        # log(1 - a z) = -sum_k a^k z^k / k; |a| near 1 keeps psi_400 ~ 1e-8
+        a = 0.97 * np.exp(0.7j)
+        for c in (np.array([1.0, -a]), np.array([2.0 - 1.0j, (-2.0 + 1.0j) * a])):
+            psi = series_log_coeffs_direct(c, 400)
+            assert psi.dtype == np.complex128
+            ks = np.arange(1, 401)
+            want = -(a**ks) / ks
+            assert np.abs(psi - want).max() <= 1e-15
+
+    def test_short_input_matches_zero_padded(self):
+        # the window j >= k - deg skips only products with a zero c~ entry
+        rng = np.random.default_rng(8)
+        for dtype in (np.float64, np.complex128):
+            for deg in (0, 1, 3, 7):
+                c = rng.uniform(-0.3, 0.3, deg + 1).astype(dtype)
+                if dtype is np.complex128:
+                    c = c + 0.2j * rng.uniform(-1, 1, deg + 1)
+                c[0] = 1.0
+                for m in (1, deg, deg + 1, 60):
+                    padded = np.zeros(m + 1, dtype=dtype)
+                    take = min(m + 1, c.size)
+                    padded[:take] = c[:take]
+                    short = series_log_coeffs_direct(c, m)
+                    full = series_log_coeffs_direct(padded, m)
+                    assert np.abs(short - full).max(initial=0.0) <= 1e-15
+
     def test_prefix_sum_direct_vs_fft(self):
         # same polynomial through the O(m^2) recurrence and the FFT route,
         # around the reciprocal base case, both parities of m and the first
@@ -195,3 +222,17 @@ class TestCompensatedTotal:
 
     def test_empty(self):
         assert compensated_total(np.array([])) == 0.0
+
+    def test_complex_matches_fsum_of_parts(self):
+        # three chunks, so the Kahan carry runs on complex chunk sums
+        rng = np.random.default_rng(6)
+        size = 150_000
+        scale = 10.0 ** rng.integers(-8, 8, size)
+        v = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+        total = compensated_total(v)
+        assert isinstance(total, complex)
+        assert total.real == pytest.approx(math.fsum(v.real), rel=1e-12)
+        assert total.imag == pytest.approx(math.fsum(v.imag), rel=1e-12)
+
+    def test_real_input_returns_float(self):
+        assert type(compensated_total(np.arange(5.0))) is float
