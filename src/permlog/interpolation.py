@@ -8,6 +8,7 @@ reaches inputs that are only strip-bounded. Every report carries the degree
 used and the certified remainder bound.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -32,7 +33,6 @@ from .errors import (
     SizeLimitExceeded,
     ZeroBaseValue,
 )
-from .oracles import KahanSum
 from .regions import (
     RegionKind,
     RegionSpec,
@@ -44,6 +44,7 @@ from .regions import (
 # series_mul stays bound here, unused: perfbench/test_refs.py checks that its
 # tracer rebinds this name
 from .series import (  # noqa: F401
+    KahanSum,
     compensated_total,
     series_log_coeffs_direct,
     series_log_prefix_sum,
@@ -70,8 +71,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 
-# degrees beyond this exceed the memory envelope of the series engine
-MAX_STRIP_DEGREE = 1 << 26
+# degrees beyond this exceed the memory envelope of the series engine and
+# of the disc pipeline's log recurrence, whose arrays have m + 1 entries
+MAX_DEGREE = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +566,14 @@ def choose_degree(deg_g, beta, epsilon, limit=10**9):
 
 _PHI_PANEL_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0)
 _PHI_NODES_PER_PANEL = 32
-_PHI_DIRECT_EVAL_LIMIT = 4000
 
 
+# cached: leggauss costs far more than one evaluation of phi, and disc-only
+# callers never pay it
+@functools.cache
 def _phi_quadrature():
+    """Gauss-Legendre nodes t on the panels and their weights times e^(-t),
+    read-only since every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(_PHI_NODES_PER_PANEL)
     nodes = []
     weights = []
@@ -575,7 +581,24 @@ def _phi_quadrature():
         half = 0.5 * (b - a)
         nodes.append(half * (x + 1.0) + a)
         weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes = np.concatenate(nodes)
+    weights = np.exp(-nodes) * np.concatenate(weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _phi_tail(y, big_n):
+    """T_N(y) = sum_{j>N} y^j / j for a complex array y with |y| < 1, as
+    y^(N+1)/(N+1) * int_0^inf e^(-t) / (1 - y e^(-t/(N+1))) dt by
+    Gauss-Legendre panels on [0, 60]."""
+    nodes, weights = _phi_quadrature()
+    np1 = big_n + 1.0
+    denom = 1.0 - y[:, None] * np.exp(-nodes / np1)
+    integral = (weights / denom).sum(axis=1)
+    nonzero = y != 0
+    ypow = np.zeros_like(y)
+    ypow[nonzero] = np.exp(np1 * np.log(y[nonzero]))
+    return ypow * integral / np1
 
 
 class PhiPolynomial:
@@ -588,9 +611,11 @@ class PhiPolynomial:
         sigma = sum_{j=1}^N alpha^j / j
 
     phi(0) = 0, phi(1) = 1, and the disc |z| <= beta maps into the strip
-    -rho <= Re <= 1 + 2 rho, |Im| <= 2 rho. For very large N, sigma equals
-    1/rho up to a relative tail below 1e-20. Coefficients are generated on
-    demand by coeff_prefix; the full polynomial is never materialized.
+    -rho <= Re <= 1 + 2 rho, |Im| <= 2 rho. Both sigma and phi(z) are the
+    truncated log series -Ln(1 - y) - T_N(y) at y = alpha and y = alpha z,
+    with the tail T_N from _phi_tail, so phi(1) is 1 exactly. Coefficients
+    are generated on demand by coeff_prefix; the full polynomial is never
+    materialized.
     """
 
     __slots__ = ("rho", "alpha", "beta", "N", "sigma")
@@ -610,14 +635,9 @@ class PhiPolynomial:
         object.__setattr__(self, "beta", -math.expm1(-exponent) / alpha)
         big_n = int(math.floor(exponent * math.exp(exponent)))
         object.__setattr__(self, "N", big_n)
-        if big_n <= 10**6:
-            j = np.arange(1, big_n + 1, dtype=np.float64)
-            terms = np.exp(j * math.log(alpha)) / j
-            sigma = float(np.sum(terms[::-1]))
-        else:
-            # tail beyond N is < alpha^(N+1)/((N+1)(1-alpha)), relatively ~1e-21
-            sigma = 1.0 / rho
-        object.__setattr__(self, "sigma", sigma)
+        # complex like every y in __call__, so that phi(1) divides sigma by itself
+        y = np.array([alpha], dtype=np.complex128)
+        object.__setattr__(self, "sigma", float((-np.log1p(-y) - _phi_tail(y, big_n))[0].real))
 
     def __setattr__(self, name, value):
         raise AttributeError("PhiPolynomial is immutable")
@@ -634,35 +654,16 @@ class PhiPolynomial:
         return out
 
     def __call__(self, z):
-        """Evaluate phi at complex points, vectorized.
-
-        Valid wherever |alpha z| < 1, which covers the whole disc |z| <= beta.
-        Direct Horner for moderate N; otherwise the analytic form
-        phi = (-Ln(1 - y) - T_N(y))/sigma with the tail integral
-        T_N(y) = y^(N+1)/(N+1) * int_0^inf e^(-t) / (1 - y e^(-t/(N+1))) dt.
+        """Evaluate phi = (-Ln(1 - y) - T_N(y))/sigma at complex points
+        z, y = alpha z, vectorized. Valid wherever |alpha z| < 1, which
+        covers the whole disc |z| <= beta.
         """
         scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
         zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         y = self.alpha * zz
         if np.max(np.abs(y)) >= 1.0:
             raise ValueError("PhiPolynomial: evaluation needs |alpha z| < 1")
-        if self.N <= _PHI_DIRECT_EVAL_LIMIT:
-            coeffs = self.coeff_prefix(self.N + 1)
-            acc = np.zeros_like(zz)
-            for c in coeffs[::-1]:
-                acc = acc * zz + c
-            out = acc
-        else:
-            nodes, weights = _phi_quadrature()
-            np1 = self.N + 1.0
-            decay = np.exp(-nodes / np1)
-            denom = 1.0 - y[:, None] * decay[None, :]
-            integral = (np.exp(-nodes)[None, :] * weights[None, :] / denom).sum(axis=1)
-            nonzero = y != 0
-            ypow = np.zeros_like(y)
-            ypow[nonzero] = np.exp(np1 * np.log(y[nonzero]))
-            tail = ypow * integral / np1
-            out = (-np.log1p(-y) - tail) / self.sigma
+        out = (-np.log1p(-y) - _phi_tail(y, self.N)) / self.sigma
         return complex(out[0]) if scalar else out
 
     def __repr__(self):
@@ -807,6 +808,19 @@ def _taylor_prefix_coeffs(value, info, mm, budget):
     return out / out[0]
 
 
+def _certified_degree(where, deg_g, beta, epsilon, degree, force):
+    """(m, bound): the degree `degree`, or the least one certifying epsilon,
+    and its truncation bound. Raises BudgetExceeded when the bound exceeds
+    epsilon (unless force) or m exceeds MAX_DEGREE."""
+    m = int(degree) if degree is not None else choose_degree(deg_g, beta, epsilon)
+    bound = taylor_error_bound(deg_g, beta, m)
+    if bound > epsilon and not force:
+        raise BudgetExceeded(f"{where}: degree {m} certifies only {bound:.3g} > epsilon {epsilon}")
+    if m > MAX_DEGREE:
+        raise BudgetExceeded(f"{where}: degree {m} exceeds the supported {MAX_DEGREE}")
+    return m, bound
+
+
 def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree=None, force=False):
     """Certified approximation of ln per/haf/PER for inputs inside a disc
     (entrywise |1-a| <= eta) or line-sum (l1=True) region.
@@ -815,7 +829,8 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
     `degree` overrides it. The normalized coefficients c_0..c_min(m,n) of g
     go through the log-series recurrence series_log_coeffs_direct, and its
     m terms are summed with compensation. Raises RegionViolation when the
-    input is outside (unless force=True, which blanks the certificate).
+    input is outside (unless force=True, which blanks the certificate), and
+    BudgetExceeded when m exceeds MAX_DEGREE.
     """
     t0 = time.perf_counter()
     info = _classify(value)
@@ -845,12 +860,7 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
             report=membership,
         )
     beta = region_eta_max(kind, info.d) / eta
-    m = int(degree) if degree is not None else choose_degree(info.n, beta, epsilon)
-    bound = taylor_error_bound(info.n, beta, m)
-    if bound > epsilon and not force:
-        raise BudgetExceeded(
-            f"approx_log_disc: degree {m} certifies only {bound:.3g} > epsilon {epsilon}"
-        )
+    m, bound = _certified_degree("approx_log_disc", info.n, beta, epsilon, degree, force)
     mm = min(m, info.n)
     chat = _taylor_prefix_coeffs(value, info, mm, budget)
     total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
@@ -871,7 +881,8 @@ def _strip_parameters(s, d):
 
     xi(e) = e/s - 1 grows and zeta(e) = tau_bound(e, d)/s shrinks on
     s < e < eta_max, so their crossing maximizes rho = min(xi, zeta)/2,
-    the widest usable parameter for the disc-to-strip map.
+    the widest usable parameter for the disc-to-strip map. Returns that
+    rho, capped at 1.
     """
     cap = eta_d_strip(d)
     lo = s * (1.0 + 1e-14)
@@ -887,8 +898,7 @@ def _strip_parameters(s, d):
     e = 0.5 * (lo + hi)
     xi = e / s - 1.0
     zeta = tau_bound(e, d) / s
-    rho = min(xi, zeta) / 2.0
-    return e, xi, zeta, min(rho, 1.0)
+    return min(min(xi, zeta) / 2.0, 1.0)
 
 
 # block length of the final alpha^j pass, which is an outer product of
@@ -996,19 +1006,10 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     if s == 0.0:
         rho = 1.0
     else:
-        _, _, _, rho = _strip_parameters(s, info.d)
+        rho = _strip_parameters(s, info.d)
     phi = build_phi(rho)
     deg_g = phi.N * info.n
-    m = int(degree) if degree is not None else choose_degree(deg_g, phi.beta, epsilon)
-    bound = taylor_error_bound(deg_g, phi.beta, m)
-    if bound > epsilon and not force:
-        raise BudgetExceeded(
-            f"approx_log_strip: degree {m} certifies only {bound:.3g} > epsilon {epsilon}"
-        )
-    if m > MAX_STRIP_DEGREE:
-        raise BudgetExceeded(
-            f"approx_log_strip: certified degree {m} exceeds the supported {MAX_STRIP_DEGREE}"
-        )
+    m, bound = _certified_degree("approx_log_strip", deg_g, phi.beta, epsilon, degree, force)
     if m == 0:
         total = info.log_g0
     else:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import ComplexMatrix, ComplexTensor, SymmetricComplexMatrix, WeightedHypergraph
 from .errors import ShapeMismatch, SizeLimitExceeded
+from .series import KahanSum
 
 __all__ = [
     "KahanSum",
@@ -25,26 +26,6 @@ __all__ = [
     "matching_polynomial",
     "deviation_hypergraph",
 ]
-
-
-class KahanSum:
-    """Compensated accumulator; works for float and complex values."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0j
-        self.carry = 0j
-
-    def add(self, value):
-        y = value - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-    @property
-    def value(self):
-        return self.total
 
 
 def permanent_exact(mat, limit=14):

@@ -12,10 +12,10 @@ products of length ~m, so the largest transforms are ~m long instead of
 ~2m. Memory is the binding constraint at the top sizes, so intermediates
 are freed eagerly. series_log_coeffs_direct, the O(m * deg c) recurrence,
 converts the disc pipeline's short coefficient lists and is the reference
-the FFT route is tested against.
+the FFT route is tested against. KahanSum is the package's one compensated
+accumulator: the coefficient engine, the reference routes and the exact
+oracles add into it, and compensated_total folds its chunk sums through it.
 """
-
-import math
 
 import numpy as np
 
@@ -59,15 +59,7 @@ def series_mul(a, b, out_len):
     if a.size * b.size <= _DIRECT_MUL_CUTOFF:
         return np.convolve(a, b)[:out_len]
     need = a.size + b.size - 1
-    limit = min(need, out_len)
-    size = good_fft_size(need)
-    fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    fa *= fb
-    del fb
-    out = np.fft.irfft(fa, size)
-    del fa
-    return out[:limit].copy()
+    return _cyclic_mul(a, b, good_fft_size(need))[: min(need, out_len)].copy()
 
 
 def _cyclic_mul(a, b, size):
@@ -169,24 +161,41 @@ def series_log_coeffs_direct(c, m):
     return psi[1:]
 
 
+class KahanSum:
+    """Compensated accumulator (Kahan). Takes float, complex or ndarray
+    values, the last elementwise; the total starts at 0.0, so it stays a
+    float while only floats are added."""
+
+    __slots__ = ("total", "carry")
+
+    def __init__(self):
+        self.total = 0.0
+        self.carry = 0.0
+
+    def add(self, value):
+        y = value - self.carry
+        t = self.total + y
+        self.carry = (t - self.total) - y
+        self.total = t
+
+    @property
+    def value(self):
+        return self.total
+
+
 def compensated_total(values):
     """Ascending-order compensated sum of a 1-d real or complex array; a
     float for real input, a complex for complex input.
 
-    Fixed chunking plus Kahan carry across chunks: deterministic for a given
+    Fixed chunking plus a KahanSum across chunks: deterministic for a given
     array, accurate enough for 1e8 terms.
     """
     scalar = complex if np.iscomplexobj(values) else float
-    total = 0.0
-    carry = 0.0
+    acc = KahanSum()
     chunk = 1 << 16
     for lo in range(0, values.size, chunk):
-        v = scalar(np.sum(values[lo : lo + chunk]))
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+        acc.add(scalar(np.sum(values[lo : lo + chunk])))
+    return acc.value
 
 
 def series_log_prefix_sum(c, m):

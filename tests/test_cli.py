@@ -246,6 +246,14 @@ class TestApproxCommand:
         assert main(["approx", str(p), "--method", "disc", "--eta", "0.35",
                      "--epsilon", "1e-3"]) == EXIT_BUDGET
 
+    def test_degree_cap_exit_code(self, capsys, matrix_file):
+        path, _ = matrix_file
+        code = main(["approx", str(path), "--method", "disc", "--eta", "0.3",
+                     "--degree", "10000000000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_BUDGET
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_hafnian_degree_zero(self, capsys, tmp_path):
         p = tmp_path / "haf.json"
         save_instance(SymmetricComplexMatrix(np.full((4, 4), 1.00001)), p)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from permlog import ZeroBaseValue
+from permlog.oracles import KahanSum
 from permlog.series import (
     compensated_total,
     good_fft_size,
@@ -236,3 +237,35 @@ class TestCompensatedTotal:
 
     def test_real_input_returns_float(self):
         assert type(compensated_total(np.arange(5.0))) is float
+
+
+class TestKahanSum:
+    # 1 followed by 10^4 terms of 1e-16: a plain running sum stays at 1.0,
+    # while the exact total is 1 + 1e-12
+    SMALL = np.array([1.0] + [1e-16] * 10_000)
+
+    def test_real_adds_stay_float(self):
+        acc = KahanSum()
+        for v in self.SMALL.tolist():
+            acc.add(v)
+        assert type(acc.value) is float
+        assert acc.value == pytest.approx(math.fsum(self.SMALL), rel=1e-15)
+
+    def test_complex_scalar_adds(self):
+        values = self.SMALL * (1.0 - 2.0j)
+        acc = KahanSum()
+        for v in values.tolist():
+            acc.add(v)
+        assert type(acc.value) is complex
+        assert acc.value.real == pytest.approx(math.fsum(values.real), rel=1e-15)
+        assert acc.value.imag == pytest.approx(math.fsum(values.imag), rel=1e-15)
+
+    def test_elementwise_ndarray_adds(self):
+        # one running sum per column, as the coefficient engine adds rows
+        rows = self.SMALL[:, None] * np.array([1.0, -3.0, 0.5, 1e3])
+        acc = KahanSum()
+        for row in rows:
+            acc.add(row)
+        assert acc.value.dtype == np.float64 and acc.value.shape == (4,)
+        for col in range(4):
+            assert acc.value[col] == pytest.approx(math.fsum(rows[:, col]), rel=1e-15)
