@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ComplexMatrix, ComplexTensor, SymmetricComplexMatrix
 from .errors import BudgetExceeded, PermlogError, RegionViolation
-from .interpolation import approx_log_disc, approx_log_strip, build_phi
+from .interpolation import DEFAULT_BUDGET, approx_log_disc, approx_log_strip, build_phi
 from .oracles import hafnian_exact, permanent_exact, tensor_permanent_exact
 from .regions import RegionKind, RegionSpec, check_region
 
@@ -361,15 +361,10 @@ def cmd_benchmark(args):
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = EXIT_OK
+    defaults = dict(eta=None, delta=None, budget=DEFAULT_BUDGET, degree=None, force=False)
     for name, value, kw in _benchmark_cases(args.suite, rng):
         row_t0 = time.perf_counter()
-        method = kw.pop("method")
-        if method == "strip":
-            rep = approx_log_strip(value, kw.pop("delta"), epsilon=kw.pop("epsilon"), **kw)
-        elif method == "l1":
-            rep = approx_log_disc(value, l1=True, **kw)
-        else:
-            rep = approx_log_disc(value, **kw)
+        rep = _run_approx(value, argparse.Namespace(**{**defaults, **kw}))
         exact = _exact_value(value)
         realized = abs(rep.log_value - _principal_log(exact))
         ok = realized <= rep.error_bound
@@ -452,7 +447,7 @@ def _build_parser():
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--force", action="store_true")
     add_format(p)

@@ -5,6 +5,8 @@ Entries are numpy complex128 throughout; construction rejects NaN/Inf.
 Indices are 0-based internally and 1-based in error messages.
 """
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -298,12 +300,6 @@ def polynomial_roots(p):
     return np.roots(p.coeffs[::-1])
 
 
-def _binomial(n, k):
-    from math import comb
-
-    return comb(n, k)
-
-
 def schur_product(f, g, n):
     """Coefficient-wise product normalized by binomials:
     h_k = f_k * g_k / C(n, k) for k = 0..n."""
@@ -315,5 +311,5 @@ def schur_product(f, g, n):
     gc = np.zeros(n + 1, dtype=np.complex128)
     fc[: f.coeffs.size] = f.coeffs
     gc[: g.coeffs.size] = g.coeffs
-    out = np.array([fc[k] * gc[k] / _binomial(n, k) for k in range(n + 1)])
+    out = np.array([fc[k] * gc[k] / math.comb(n, k) for k in range(n + 1)])
     return UnivariatePolynomial(out)

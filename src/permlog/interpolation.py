@@ -225,6 +225,23 @@ def _elementary_symmetric_rows(bvals):
     return e
 
 
+def _chunks(iterable, size):
+    """Consecutive lists of `size` items of an iterable; the last may be
+    shorter."""
+    it = iter(iterable)
+    while block := list(itertools.islice(it, size)):
+        yield block
+
+
+def _expansion_polynomial(row_blocks):
+    """The polynomial sum over rows b of prod_i (1 + z b_i), from (c, n)
+    row blocks, with the coefficient vectors summed by one KahanSum."""
+    acc = KahanSum()
+    for rows in row_blocks:
+        acc.add(_elementary_symmetric_rows(rows).sum(axis=0))
+    return UnivariatePolynomial(acc.value)
+
+
 def g_full_expansion_permanent(mat, limit=10):
     """All n+1 coefficients of g(z) = per(J + z(A - J)) by enumerating the n!
     permutations and expanding the linear factors. n <= 10."""
@@ -235,19 +252,10 @@ def g_full_expansion_permanent(mat, limit=10):
         raise SizeLimitExceeded(f"g_full_expansion_permanent: n={n} exceeds limit {limit}")
     b = mat.array - 1.0
     idx = np.arange(n)
-    coeff_sums = [KahanSum() for _ in range(n + 1)]
-    chunk = 1 << 14
-    perm_iter = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(perm_iter, chunk))
-        if not block:
-            break
-        perms = np.array(block, dtype=np.intp)
-        e = _elementary_symmetric_rows(b[idx[None, :], perms])
-        totals = e.sum(axis=0)
-        for k in range(n + 1):
-            coeff_sums[k].add(totals[k])
-    return UnivariatePolynomial([s.value for s in coeff_sums])
+    return _expansion_polynomial(
+        b[idx[None, :], np.array(block, dtype=np.intp)]
+        for block in _chunks(itertools.permutations(range(n)), 1 << 14)
+    )
 
 
 def _perfect_matchings(two_n):
@@ -305,21 +313,10 @@ def g_full_expansion_tensor(ten, limit=10**5):
     b = ten.array - 1.0
     idx = np.arange(n)
     perms = [np.array(p, dtype=np.intp) for p in itertools.permutations(range(n))]
-    coeff_sums = [KahanSum() for _ in range(n + 1)]
-    buf = []
-    for combo in itertools.product(perms, repeat=d - 1):
-        sel = (idx,) + tuple(p for p in combo)
-        buf.append(b[sel])
-        if len(buf) == 4096:
-            totals = _elementary_symmetric_rows(np.array(buf)).sum(axis=0)
-            for k in range(n + 1):
-                coeff_sums[k].add(totals[k])
-            buf = []
-    if buf:
-        totals = _elementary_symmetric_rows(np.array(buf)).sum(axis=0)
-        for k in range(n + 1):
-            coeff_sums[k].add(totals[k])
-    return UnivariatePolynomial([s.value for s in coeff_sums])
+    return _expansion_polynomial(
+        np.array([b[(idx,) + combo] for combo in block])
+        for block in _chunks(itertools.product(perms, repeat=d - 1), 4096)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +532,7 @@ def taylor_error_bound(deg_g, beta, m):
     return math.exp(log_bound)
 
 
-def choose_degree(deg_g, beta, epsilon, limit=10**9):
+def choose_degree(deg_g, beta, epsilon, limit=MAX_DEGREE):
     """Smallest m with taylor_error_bound(deg_g, beta, m) <= epsilon.
 
     The bound is monotone decreasing in m, so this bisects [0, limit] on
@@ -738,46 +735,26 @@ class _KindInfo:
 
 
 def _classify(value):
+    """The kind facts of an input. g(0) = per/haf/PER(J) is the exact count
+    n!, (2n)!/(2^n n!) or (n!)^(d-1); its log and its complex value both come
+    from that one integer (math.log takes integers past the float range)."""
+    # coefficient functions are read from the module globals on every call,
+    # so rebinding a module attribute reroutes the pipelines
     if isinstance(value, ComplexMatrix):
-        n = value.n
-        return _KindInfo(
-            shape="per",
-            d=2,
-            n=n,
-            log_g0=sum(math.log(k) for k in range(2, n + 1)),
-            g0=_complex_or_inf(math.factorial(n)),
-            tuple_fn=g_derivatives_permanent,
-            full_fn=g_full_expansion_permanent,
-        )
-    if isinstance(value, SymmetricComplexMatrix):
-        two_n = value.two_n
-        n = two_n // 2
-        log_g0 = (
-            sum(math.log(k) for k in range(2, two_n + 1))
-            - n * math.log(2.0)
-            - sum(math.log(k) for k in range(2, n + 1))
-        )
-        return _KindInfo(
-            shape="haf",
-            d=2,
-            n=n,
-            log_g0=log_g0,
-            g0=_complex_or_inf(math.factorial(two_n) // (2**n * math.factorial(n))),
-            tuple_fn=g_derivatives_hafnian,
-            full_fn=g_full_expansion_hafnian,
-        )
-    if isinstance(value, ComplexTensor):
-        d, n = value.d, value.n
-        return _KindInfo(
-            shape="tensor",
-            d=d,
-            n=n,
-            log_g0=(d - 1) * sum(math.log(k) for k in range(2, n + 1)),
-            g0=_complex_or_inf(math.factorial(n) ** (d - 1)),
-            tuple_fn=g_derivatives_tensor,
-            full_fn=g_full_expansion_tensor,
-        )
-    raise ShapeMismatch("expected ComplexMatrix, SymmetricComplexMatrix, or ComplexTensor")
+        shape, d, n = "per", 2, value.n
+        count = math.factorial(n)
+        tuple_fn, full_fn = g_derivatives_permanent, g_full_expansion_permanent
+    elif isinstance(value, SymmetricComplexMatrix):
+        shape, d, n = "haf", 2, value.two_n // 2
+        count = math.factorial(2 * n) // (2**n * math.factorial(n))
+        tuple_fn, full_fn = g_derivatives_hafnian, g_full_expansion_hafnian
+    elif isinstance(value, ComplexTensor):
+        shape, d, n = "tensor", value.d, value.n
+        count = math.factorial(n) ** (d - 1)
+        tuple_fn, full_fn = g_derivatives_tensor, g_full_expansion_tensor
+    else:
+        raise ShapeMismatch("expected ComplexMatrix, SymmetricComplexMatrix, or ComplexTensor")
+    return _KindInfo(shape, d, n, math.log(count), _complex_or_inf(count), tuple_fn, full_fn)
 
 
 def _taylor_prefix_coeffs(value, info, mm, budget):
@@ -861,9 +838,11 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
         )
     beta = region_eta_max(kind, info.d) / eta
     m, bound = _certified_degree("approx_log_disc", info.n, beta, epsilon, degree, force)
-    mm = min(m, info.n)
-    chat = _taylor_prefix_coeffs(value, info, mm, budget)
-    total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
+    try:
+        chat = _taylor_prefix_coeffs(value, info, min(m, info.n), budget)
+        total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
+    except MemoryError as exc:
+        raise BudgetExceeded(f"approx_log_disc: degree {m} ran out of memory") from exc
     return ApproxReport(
         log_value=complex(total),
         degree_used=m,
@@ -980,29 +959,24 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
             raise InfeasibleParameters(f"approx_log_strip: eta must be >= 0, got {eta}")
         if not eta < cap:
             raise EtaTooLarge(f"approx_log_strip: eta={eta} must be below {cap} for d={info.d}")
-        dev = np.abs(1.0 - re)
-        if float(dev.max()) > eta and not force:
-            idx = np.unravel_index(int(np.argmax(dev)), re.shape)
-            raise RegionViolation(
-                f"approx_log_strip: |1 - a| = {float(dev[idx]):.6g} > eta at index "
-                f"{tuple(int(i) + 1 for i in idx)}"
-            )
         s = eta
+        bad = np.abs(1.0 - re) > eta
+        domain = f"|1 - a| <= {eta}"
     else:
         delta = float(delta_or_eta)
         if not (0.0 < delta <= 1.0):
             raise InfeasibleParameters(
                 f"approx_log_strip: delta must lie in (0, 1], got {delta}"
             )
-        low, high = float(re.min()), float(re.max())
-        if (low < delta or high > 1.0) and not force:
-            bad = re < delta if low < delta else re > 1.0
-            idx = np.unravel_index(int(np.argmax(bad)), re.shape)
-            raise RegionViolation(
-                f"approx_log_strip: entry {float(re[idx]):.6g} at index "
-                f"{tuple(int(i) + 1 for i in idx)} outside [{delta}, 1]"
-            )
         s = 1.0 - delta
+        bad = (re < delta) | (re > 1.0)
+        domain = f"[{delta}, 1]"
+    if not force and bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), re.shape)
+        raise RegionViolation(
+            f"approx_log_strip: entry {float(re[idx]):.6g} at index "
+            f"{tuple(int(i) + 1 for i in idx)} outside {domain}"
+        )
     if s == 0.0:
         rho = 1.0
     else:
@@ -1010,13 +984,15 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     phi = build_phi(rho)
     deg_g = phi.N * info.n
     m, bound = _certified_degree("approx_log_strip", deg_g, phi.beta, epsilon, degree, force)
-    if m == 0:
-        total = info.log_g0
-    else:
-        chat = g_taylor_coefficients(value, min(m, info.n), budget)
-        g_c = _compose_phi(chat.real, phi, m)
-        total = info.log_g0 + series_log_prefix_sum(g_c, m)
-        del g_c
+    total = info.log_g0
+    try:
+        if m > 0:
+            chat = g_taylor_coefficients(value, min(m, info.n), budget)
+            g_c = _compose_phi(chat.real, phi, m)
+            total += series_log_prefix_sum(g_c, m)
+            del g_c
+    except MemoryError as exc:
+        raise BudgetExceeded(f"approx_log_strip: degree {m} ran out of memory") from exc
     return ApproxReport(
         log_value=complex(total),
         degree_used=m,

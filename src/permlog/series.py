@@ -3,18 +3,20 @@
 Arrays hold ascending coefficients (index k = coefficient of z^k). The FFT
 routines serve the strip pipeline and take float64 input; the log-series
 recurrence and the compensated sum also take complex input, for the disc
-pipeline. Products use the real FFT above a small-size threshold. The
-reciprocal runs Newton doubling on a schedule planned down from its target
-length; each stage's wrap-tolerant product and its update share one
-transform of r. The log-series sum divides c'/c by Karp-Markstein: a
-reciprocal to half the length, whose transform serves both halves, then
-products of length ~m, so the largest transforms are ~m long instead of
-~2m. Memory is the binding constraint at the top sizes, so intermediates
-are freed eagerly. series_log_coeffs_direct, the O(m * deg c) recurrence,
-converts the disc pipeline's short coefficient lists and is the reference
-the FFT route is tested against. KahanSum is the package's one compensated
-accumulator: the coefficient engine, the reference routes and the exact
-oracles add into it, and compensated_total folds its chunk sums through it.
+pipeline. Products use the real FFT above a small-size threshold; a
+series multiplied by several others goes through _multiplier, which
+shares one transform of it among those products. The reciprocal runs
+Newton doubling on a schedule planned down from its target length; each
+stage's wrap-tolerant product and its update share one multiplier of r.
+The log-series sum divides c'/c by Karp-Markstein: a reciprocal to half
+the length, whose multiplier serves both halves, then products of length
+~m, so the largest transforms are ~m long instead of ~2m. Memory is the
+binding constraint at the top sizes, so intermediates are freed eagerly.
+series_log_coeffs_direct, the O(m * deg c) recurrence, converts the disc
+pipeline's short coefficient lists and is the reference the FFT route is
+tested against. KahanSum is the package's one compensated accumulator:
+the coefficient engine, the reference routes and the exact oracles add
+into it, and compensated_total folds its chunk sums through it.
 """
 
 import numpy as np
@@ -59,18 +61,8 @@ def series_mul(a, b, out_len):
     if a.size * b.size <= _DIRECT_MUL_CUTOFF:
         return np.convolve(a, b)[:out_len]
     need = a.size + b.size - 1
-    return _cyclic_mul(a, b, good_fft_size(need))[: min(need, out_len)].copy()
-
-
-def _cyclic_mul(a, b, size):
-    """Cyclic convolution of length `size`; inputs are zero-padded to size."""
-    fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    fa *= fb
-    del fb
-    out = np.fft.irfft(fa, size)
-    del fa
-    return out
+    size = good_fft_size(need)
+    return _transformed_mul(np.fft.rfft(a, size), b, size)[: min(need, out_len)].copy()
 
 
 def _transformed_mul(fa, b, size):
@@ -102,11 +94,15 @@ def series_reciprocal(c, out_len):
     ell to nxt terms needs c*r only on [ell, nxt), and a cyclic convolution
     of length >= nxt wraps only terms that land below ell. The update
     r*err has nxt - 1 terms and does not wrap at that length either, so
-    above the direct cutoff both products share one transform of r.
+    both products go through one _multiplier of r: direct for a short r,
+    one shared transform of r for a long one.
     """
     if c.size == 0 or c[0] == 0:
         raise ZeroBaseValue("series_reciprocal: constant term must be nonzero")
     c = c[:out_len]
+    if c.size < out_len:
+        # zero-padded, so that every stage's c*r has nxt terms
+        c = np.concatenate((c, np.zeros(out_len - c.size)))
     targets = []
     base = out_len
     while base > 256:
@@ -120,18 +116,10 @@ def series_reciprocal(c, out_len):
         r[k] = -s / c[0]
     for nxt in reversed(targets):
         ell = r.size
-        size = good_fft_size(nxt)
-        if ell * (nxt - ell) <= _DIRECT_MUL_CUTOFF:
-            err = _cyclic_mul(c[:nxt], r, size)[ell:nxt]
-            upd = series_mul(r, err, nxt - ell)
-        else:
-            # r*err has nxt - 1 terms, so at size it does not wrap: one
-            # transform of r serves both products
-            fr = np.fft.rfft(r, size)
-            err = _transformed_mul(fr, c[:nxt], size)[ell:nxt]
-            upd = _transformed_mul(fr, err, size)[: nxt - ell]
-            del fr
-        del err
+        times_r = _multiplier(r, good_fft_size(nxt))
+        err = times_r(c[:nxt], nxt)[ell:]
+        upd = times_r(err, nxt - ell)
+        del times_r, err
         grown = np.empty(nxt, dtype=np.float64)
         grown[:ell] = r
         np.negative(upd, out=grown[ell:])

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import permlog.interpolation
 from permlog import ComplexMatrix, ComplexTensor, SymmetricComplexMatrix, permanent_exact
 from permlog import cli
 from permlog.cli import (
@@ -254,6 +257,24 @@ class TestApproxCommand:
         assert code == EXIT_BUDGET
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "work, args",
+        [
+            ("series_log_coeffs_direct", ["--method", "disc", "--eta", "0.3"]),
+            ("series_log_prefix_sum", ["--method", "strip", "--delta", "0.7", "--epsilon", "0.1"]),
+        ],
+    )
+    def test_out_of_memory_exit_code(self, capsys, monkeypatch, matrix_file, work, args):
+        def exhausted(*a):
+            raise MemoryError
+
+        monkeypatch.setattr(permlog.interpolation, work, exhausted)
+        path, _ = matrix_file
+        code = main(["approx", str(path), *args])
+        err = capsys.readouterr().err
+        assert code == EXIT_BUDGET
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_hafnian_degree_zero(self, capsys, tmp_path):
         p = tmp_path / "haf.json"
         save_instance(SymmetricComplexMatrix(np.full((4, 4), 1.00001)), p)
@@ -282,6 +303,55 @@ class TestApproxCommand:
         verify = json.loads(capsys.readouterr().out)["results"]["verify"]
         assert verify["skipped"] is True
         assert verify["reason"]
+
+
+def _param(low, high):
+    """Mostly a valid value in [low, high]; else absent, zero, negative, NaN
+    or anything in [-0.5, 1.5]."""
+    valid = st.floats(low, high)
+    invalid = st.one_of(st.sampled_from([None, 0.0, -0.3, math.nan]), st.floats(-0.5, 1.5))
+    return st.one_of(valid, valid, valid, valid, invalid)
+
+
+@st.composite
+def _small_instances(draw):
+    """A matrix, symmetric matrix or 3-tensor of side at most 4, with real
+    or complex entries, mostly near the all-ones instance."""
+    kind = draw(st.sampled_from(["matrix", "symmetric", "tensor"]))
+    n = draw(st.sampled_from([2, 4]) if kind == "symmetric" else st.integers(1, 4))
+    shape = (n,) * (3 if kind == "tensor" else 2)
+    size = math.prod(shape)
+    spread = draw(st.sampled_from([0.05, 0.3, 2.0]))
+    entries = st.lists(st.floats(-spread, spread), min_size=size, max_size=size)
+    arr = 1.0 - np.abs(draw(entries)) + 0j
+    if draw(st.booleans()):
+        arr += 1j * np.array(draw(entries))
+    arr = arr.reshape(shape)
+    if kind == "symmetric":
+        return SymmetricComplexMatrix((arr + arr.T) / 2)
+    return ComplexTensor(arr) if kind == "tensor" else ComplexMatrix(arr)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    value=_small_instances(),
+    method=st.sampled_from(["disc", "l1", "strip"]),
+    eta=_param(0.01, 0.3),
+    delta=_param(0.5, 1.0),
+    epsilon=_param(1e-4, 0.5),
+    degree=st.integers(-2, 1000),
+    flags=st.lists(st.sampled_from(["--force", "--verify"]), unique=True),
+)
+def test_approx_always_exits_with_a_code(tmp_path, value, method, eta, delta, epsilon, degree, flags):
+    # every input the constructors accept gives a result or a typed error,
+    # never a traceback
+    path = tmp_path / "instance.json"
+    save_instance(value, path)
+    argv = ["approx", str(path), "--method", method, f"--degree={degree}", *flags]
+    for name, param in (("eta", eta), ("delta", delta), ("epsilon", epsilon)):
+        if param is not None:
+            argv.append(f"--{name}={param}")
+    assert isinstance(main(argv), int)
 
 
 class TestCheckRegionCommand:

@@ -10,6 +10,7 @@ from permlog import (
     BudgetExceeded,
     ComplexMatrix,
     ComplexTensor,
+    EtaTooLarge,
     InfeasibleParameters,
     PhiPolynomial,
     RegionViolation,
@@ -21,6 +22,7 @@ from permlog import (
     approx_log_strip,
     build_phi,
     choose_degree,
+    eta_d_strip,
     hafnian_exact,
     permanent_exact,
     tensor_permanent_exact,
@@ -33,6 +35,7 @@ from permlog import (
     log_derivatives,
     taylor_error_bound,
 )
+import permlog.interpolation
 from permlog.core import UnivariatePolynomial, poly_compose_truncated
 from permlog.interpolation import _compose_phi, g_taylor_coefficients
 from permlog.series import compensated_total, series_log_coeffs_direct
@@ -401,6 +404,40 @@ class TestDiscPipeline:
         rep = approx_log_disc(a, 0.4, 1e-3)
         assert abs(rep.log_value.imag) < 1e-9
 
+    @pytest.mark.parametrize(
+        "make, count",
+        [
+            (lambda: ComplexMatrix.all_ones(170), math.factorial(170)),
+            (lambda: ComplexMatrix.all_ones(180), math.factorial(180)),
+            (lambda: ComplexMatrix.all_ones(500), math.factorial(500)),
+            (lambda: SymmetricComplexMatrix.all_ones(200), math.factorial(200) // (2**100 * math.factorial(100))),
+            (lambda: ComplexTensor.all_ones(3, 99), math.factorial(99) ** 2),
+        ],
+        ids=["per170", "per180", "per500", "haf200", "tensor99"],
+    )
+    def test_log_g0_is_log_of_exact_count(self, make, count):
+        # a sum of math.log(k) misses ln n! by up to 3.6e-12 at n = 500
+        rep = approx_log_disc(make(), 0.1, 0.5, degree=0, force=True)
+        assert rep.log_value.real == math.log(count)
+        assert rep.log_value.imag == 0.0
+
+
+@pytest.mark.parametrize(
+    "pipeline, work, param, epsilon",
+    [
+        (approx_log_disc, "series_log_coeffs_direct", 0.4, 1e-3),
+        (approx_log_strip, "series_log_prefix_sum", 0.7, 0.1),
+    ],
+)
+def test_out_of_memory_is_budget_exceeded(monkeypatch, pipeline, work, param, epsilon):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(permlog.interpolation, work, exhausted)
+    a = ComplexMatrix(np.full((3, 3), 0.9))
+    with pytest.raises(BudgetExceeded, match=r"degree \d+ ran out of memory"):
+        pipeline(a, param, epsilon)
+
 
 @pytest.mark.parametrize("pipeline", [approx_log_disc, approx_log_strip])
 def test_degree_cap(pipeline):
@@ -451,9 +488,16 @@ class TestStripPipeline:
     def test_interval_violation_and_force(self):
         a = np.full((3, 3), 0.8)
         a[0, 0] = 0.5
-        with pytest.raises(RegionViolation):
+        with pytest.raises(RegionViolation, match=r"index \(1, 1\) outside \[0.7, 1\]"):
             approx_log_strip(ComplexMatrix(a), 0.7, 0.1)
         rep = approx_log_strip(ComplexMatrix(a), 0.7, 0.1, force=True)
+        assert rep.error_bound is None
+        # tensors: |1 - a| <= eta, here broken on the high side
+        t = np.full((3, 3, 3), 0.95)
+        t[1, 2, 0] = 1.2
+        with pytest.raises(RegionViolation, match=r"index \(2, 3, 1\) outside \|1 - a\| <= 0.1"):
+            approx_log_strip(ComplexTensor(t), 0.1, 0.1)
+        rep = approx_log_strip(ComplexTensor(t), 0.1, 0.1, force=True)
         assert rep.error_bound is None
 
     def test_delta_validated(self):
@@ -462,6 +506,11 @@ class TestStripPipeline:
             approx_log_strip(a, 0.0, 0.1)
         with pytest.raises(InfeasibleParameters):
             approx_log_strip(a, 1.5, 0.1)
+        t = ComplexTensor(np.full((3, 3, 3), 0.95))
+        with pytest.raises(InfeasibleParameters):
+            approx_log_strip(t, -0.01, 0.1)
+        with pytest.raises(EtaTooLarge):
+            approx_log_strip(t, eta_d_strip(3), 0.1)
 
     def test_agrees_with_disc_route(self):
         rng = np.random.default_rng(53)
