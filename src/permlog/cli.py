@@ -374,6 +374,7 @@ def cmd_benchmark(args):
             {
                 "case": name,
                 "pipeline": rep.pipeline,
+                "path": rep.path,
                 "size": value.array.shape[0],
                 "degree": rep.degree_used,
                 "error_bound": rep.error_bound,

@@ -565,13 +565,21 @@ _PHI_PANEL_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0)
 _PHI_NODES_PER_PANEL = 32
 
 
-# cached: leggauss costs far more than one evaluation of phi, and disc-only
-# callers never pay it
+# cached: leggauss costs far more than one evaluation of phi, and callers
+# that never reach a quadrature never pay it
+@functools.cache
+def _gauss_legendre():
+    """The Gauss-Legendre rule on [-1, 1] that every panel uses, read-only."""
+    x, w = np.polynomial.legendre.leggauss(_PHI_NODES_PER_PANEL)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @functools.cache
 def _phi_quadrature():
     """Gauss-Legendre nodes t on the panels and their weights times e^(-t),
     read-only since every caller shares them."""
-    x, w = np.polynomial.legendre.leggauss(_PHI_NODES_PER_PANEL)
+    x, w = _gauss_legendre()
     nodes = []
     weights = []
     for a, b in zip(_PHI_PANEL_EDGES[:-1], _PHI_PANEL_EDGES[1:]):
@@ -683,7 +691,10 @@ class ApproxReport:
     error_bound is deg_g / ((m+1) beta^m (beta-1)) at the recorded deg_g and
     beta_used, and never exceeds the requested epsilon; it is None only when
     the region check was forcibly skipped. rho and phi_degree are None for
-    disc pipelines.
+    disc pipelines. path names the route that summed the log series: "disc",
+    "strip-roots", or "strip-fft (<reason>)" with the reason the roots route
+    was not taken: "N < m", "m < n" (the coefficients stop short of degree n),
+    "root guard", "z* outside the loop" or "quadrature error".
     """
 
     log_value: complex
@@ -696,6 +707,7 @@ class ApproxReport:
     elapsed_s: float
     rho: float = None
     phi_degree: int = None
+    path: str = None
 
     def to_dict(self):
         out = {
@@ -712,6 +724,8 @@ class ApproxReport:
             out["rho"] = float(self.rho)
         if self.phi_degree is not None:
             out["phi_degree"] = int(self.phi_degree)
+        if self.path is not None:
+            out["path"] = self.path
         return out
 
 
@@ -805,7 +819,9 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
     beta = (region maximum)/eta; m = choose_degree(n, beta, epsilon) unless
     `degree` overrides it. The normalized coefficients c_0..c_min(m,n) of g
     go through the log-series recurrence series_log_coeffs_direct, and its
-    m terms are summed with compensation. Raises RegionViolation when the
+    terms are summed with compensation. Past degree n only n terms go
+    through the recurrence; the rest come from the certified roots of g
+    (_disc_tail), unless their guard fails. Raises RegionViolation when the
     input is outside (unless force=True, which blanks the certificate), and
     BudgetExceeded when m exceeds MAX_DEGREE.
     """
@@ -840,7 +856,11 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
     m, bound = _certified_degree("approx_log_disc", info.n, beta, epsilon, degree, force)
     try:
         chat = _taylor_prefix_coeffs(value, info, min(m, info.n), budget)
-        total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
+        tail = _disc_tail(chat, m) if m > info.n else None
+        terms = m if tail is None else info.n
+        total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, terms))
+        if tail is not None:
+            total += tail
     except MemoryError as exc:
         raise BudgetExceeded(f"approx_log_disc: degree {m} ran out of memory") from exc
     return ApproxReport(
@@ -852,6 +872,7 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
         deg_g=info.n,
         g0=info.g0,
         elapsed_s=time.perf_counter() - t0,
+        path="disc",
     )
 
 
@@ -926,6 +947,192 @@ def _compose_phi(rhat, phi, m):
     return buf[: m + 1]
 
 
+# Smale's alpha_0: a point with alpha(f, x) below it lies within 2 beta(f, x)
+# of a root (Blum, Cucker, Shub and Smale, Complexity and Real Computation, ch. 8)
+_SMALE_ALPHA0 = (13.0 - 3.0 * math.sqrt(17.0)) / 4.0
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _taylor_shift(c, x, rows):
+    """Taylor coefficients b_k = f^(k)(x)/k!, k < rows, of the polynomial with
+    ascending coefficients c at every point of x, as a (rows, x.size) array,
+    with first-order running error bounds on them (Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1). In-place synthetic division:
+    pass k leaves b_k in row k."""
+    deg = c.size - 1
+    b = np.repeat(np.asarray(c, dtype=np.complex128)[:, None], x.size, axis=1)
+    err = np.zeros(b.shape)
+    ax = np.abs(x)
+    for k in range(min(rows, deg)):
+        for j in range(deg - 1, k - 1, -1):
+            prod = x * b[j + 1]
+            b[j] += prod
+            # a complex product errs by at most sqrt(8) u, a sum by u
+            err[j] += ax * err[j + 1] + _UNIT_ROUNDOFF * (np.abs(b[j]) + 3.0 * np.abs(prod))
+    return b[:rows], err[:rows]
+
+
+def _certified_roots(c):
+    """The roots of the polynomial with ascending coefficients c, c[0] = 1,
+    with radii such that each disc holds exactly one root; None when a root
+    cannot be certified.
+
+    np.roots gives the start points and Newton polishes them against c.
+    Each then passes Smale's alpha-test, alpha = beta gamma < alpha_0 with
+    beta = |f/f'| and gamma = max_k |f^(k)/(k! f')|^(1/(k-1)), evaluated
+    with the running error bounds so that the test holds for the float
+    polynomial; the root lies within 2 beta. The discs must be disjoint, so
+    that they hold all the roots, each once. A multiple root fails the test.
+    """
+    c = c[: np.flatnonzero(c)[-1] + 1]
+    deg = c.size - 1
+    if deg == 0:
+        return np.zeros(0, dtype=np.complex128), np.zeros(0)
+    x = np.roots(c[::-1]).astype(np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            b, _ = _taylor_shift(c, x, 2)
+            x = x - b[0] / b[1]
+    if not np.all(np.isfinite(x)):
+        return None
+    b, err = _taylor_shift(c, x, deg + 1)
+    slope = np.abs(b[1]) - err[1]
+    if np.any(slope <= 0.0):
+        return None
+    beta = (np.abs(b[0]) + err[0]) / slope
+    gamma = np.zeros(deg)
+    for k in range(2, deg + 1):
+        gamma = np.maximum(gamma, ((np.abs(b[k]) + err[k]) / slope) ** (1.0 / (k - 1)))
+    if not np.all(beta * gamma < _SMALE_ALPHA0):
+        return None
+    radius = 2.0 * beta
+    gap = np.abs(x[:, None] - x[None, :]) - radius[:, None] - radius[None, :]
+    np.fill_diagonal(gap, np.inf)
+    if np.any(gap <= 0.0):
+        return None
+    return x, radius
+
+
+def _strip_roots_sum(rhat, phi, m):
+    """sum_{k=1..m} psi_k of ln r(phi(z)) for the real polynomial r with
+    normalized coefficients rhat, through its roots, for N >= m >= deg r;
+    None with the reason ("root guard", "z* outside the loop", "quadrature
+    error") when this route cannot give it to roundoff.
+
+    With N >= m, phi agrees with Phi(z) = -ln(1 - alpha z)/sigma to z^m, so
+    the sum is [z^m] F(z)/(1 - z) for F = ln r(Phi) = sum_i ln(1 - Phi/zeta_i).
+    Its Cauchy integral, pushed past z = 1 (residue F(1)), wraps the cut
+    [1/alpha, inf) of Phi and the points z*_i = (1 - e^(-sigma zeta_i))/alpha
+    where F is singular:
+
+        S_m = F(1) + (1/2 pi i) int_H F(z) z^(-m-1) / (1 - z) dz.
+
+    F(1) is real here, ln |r(Phi(1))| by Horner: the roots are certified
+    only to their radii, which would cost it digits. In s = (m+1) ln(alpha z)
+    the Hankel contour H runs in along the lower side of the cut, once
+    clockwise round |s| = r and out along the upper side, where
+    ln(1 - alpha z) = ln(alpha x - 1) -/+ i pi. Every root's z*, and every
+    point where its principal log would jump, lies within
+    |s| <= (m+1) ln(1/(1 - e^(-Re sigma zeta))) unless |Im sigma zeta| > pi,
+    when there is none; the circle keeps e^2 clear of those points inside
+    and of the pole at z = 1, s = (m+1) ln alpha, outside, so that every
+    log on H stays on its principal branch. (Splitting off each z* as a
+    closed form does not work here: z* lies within e^(-Re sigma zeta) of the
+    branch point, where the rest of the log still jumps by 2 pi i.) The
+    circle takes 64 Gauss-Legendre nodes in the angle, and the rays
+    s = r + t (m+1)/m, whose weight falls as e^(-t), the panels of
+    _phi_quadrature. H is evaluated again at radius r/e; the two must agree
+    within Horner's a priori bound on F(1), 2n u sum_k |rhat_k| Phi(1)^k /
+    |r(Phi(1))| (Higham, 5.1).
+    """
+    certified = _certified_roots(rhat)
+    if certified is None:
+        return None, "root guard"
+    roots, radius = certified
+    if roots.size == 0:
+        return 0.0, None
+    sigma = phi.sigma
+    log_alpha = math.log(phi.alpha)
+    # sigma zeta, moved by the certified radius towards the cut
+    w = sigma * roots
+    re_w = w.real - sigma * radius
+    free = np.abs(w.imag) - sigma * radius > math.pi
+    if np.any(re_w[~free] <= 0.0):
+        return None, "z* outside the loop"
+    inner = (m + 1) * float(np.max(-np.log1p(-np.exp(-re_w[~free])), initial=0.0))
+    pole = -(m + 1) * log_alpha
+    margin = math.e**2
+    # r >= 1 where the pole allows it: the rays' first panel is one unit
+    # long, and the branch point s = 0 then sits at least that far back
+    r = min(max(1.0, margin * inner), pole / margin)
+    if not margin * inner < r:
+        return None, "z* outside the loop"
+
+    def log_sum(v):
+        # F at points where ln(1 - alpha z) = v, since 1 - Phi/zeta = 1 + v/w
+        return np.log1p(v[:, None] / w[None, :]).sum(axis=1)
+
+    def weight(s, decay):
+        # z^(-m) / ((1 - z)(m + 1)) with z = e^(s/(m+1))/alpha, e^(-t) left out
+        # on the rays; alpha - e^u is -(expm1(u) + 1 - alpha), 1 - alpha exact
+        u = s / (m + 1)
+        return np.exp((m + 1) * log_alpha - decay * (m / (m + 1))) / (
+            -(np.expm1(u) + (1.0 - phi.alpha)) * (m + 1)
+        )
+
+    x, wx = _gauss_legendre()
+    theta = 0.5 * math.pi * np.concatenate((x + 1.0, x + 3.0))
+    theta_w = 0.5 * math.pi * np.concatenate((wx, wx))
+    nodes, weights = _phi_quadrature()
+
+    def hankel(r):
+        s = r * np.exp(1j * theta)
+        v = np.log(-np.expm1(s / (m + 1)))
+        loop = -np.sum(theta_w * log_sum(v) * weight(s, s) * s) / (2.0 * math.pi)
+        s = r + nodes * ((m + 1) / m)
+        v = np.log(np.expm1(s / (m + 1))).astype(np.complex128)
+        jump = log_sum(v - 1j * math.pi) - log_sum(v + 1j * math.pi)
+        rays = np.sum(weights * jump * weight(s, r)) * ((m + 1) / m) / (2j * math.pi)
+        return loop + rays
+
+    at_one = -math.log1p(-phi.alpha) / sigma
+    r_at_one = float(np.polynomial.polynomial.polyval(at_one, rhat))
+    bound = 2 * roots.size * _UNIT_ROUNDOFF * float(
+        np.polynomial.polynomial.polyval(at_one, np.abs(rhat))
+    ) / abs(r_at_one)
+    h = hankel(r)
+    if not abs(h - hankel(r / math.e)) <= bound:
+        return None, "quadrature error"
+    return math.log(abs(r_at_one)) + float(h.real), None
+
+
+def _disc_tail(chat, m):
+    """sum_{k=n+1..m} psi_k of ln r for the polynomial r of degree n with
+    normalized coefficients chat and m > n, or None when its roots cannot be
+    certified outside the unit disc. psi_k = -(1/k) sum_i zeta_i^(-k), so the
+    tail is -sum_i (T_n(y_i) - T_m(y_i)), y = 1/zeta, through _phi_tail. The
+    quadrature must reproduce T_n(y) = -ln(1 - y) - sum_{k<=n} y^k/k to the
+    roundoff of that closed form (a complex log1p errs by about u, each of
+    its n terms by about u relative); the quadrature's pole, at
+    t = (N+1) ln y, only moves away as N grows."""
+    certified = _certified_roots(chat)
+    if certified is None:
+        return None
+    roots, radius = certified
+    if not np.all(np.abs(roots) - radius > 1.0):
+        return None
+    n = chat.size - 1
+    y = 1.0 / roots
+    head = np.cumprod(np.repeat(y[:, None], n, axis=1), axis=1) / np.arange(1, n + 1)
+    log_term = np.log1p(-y)
+    closed = -log_term - head.sum(axis=1)
+    size = 1.0 + np.abs(log_term) + np.abs(head).sum(axis=1)
+    t_n = _phi_tail(y, n)
+    if not np.sum(np.abs(t_n - closed)) <= (n + 2) * _UNIT_ROUNDOFF * float(size.sum()):
+        return None
+    return -complex(np.sum(t_n - _phi_tail(y, m)))
+
+
 def _require_real(arr, where):
     if np.any(arr.imag != 0):
         idx = np.unravel_index(int(np.argmax(arr.imag != 0)), arr.shape)
@@ -939,11 +1146,20 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     in a strip sense: matrix kinds with entries in [delta, 1] (delta_or_eta =
     delta), tensors with |1 - a| <= eta (delta_or_eta = eta).
 
-    Builds phi for the balanced rho, takes the normalized coefficients r of
-    g up to min(m, n) from the engine, composes r(phi(z)) to the certified
-    degree m through phi's own differential equation (_compose_phi), and
-    sums the first m log-series coefficients with the FFT series engine.
-    Degree 0 returns ln g(0).
+    Builds phi for the balanced rho and takes the normalized coefficients r
+    of g up to min(m, n) from the engine. The answer is ln g(0) plus the sum
+    of the first m log-series coefficients of ln r(phi(z)), by one of two
+    routes that differ only in how that sum is computed:
+
+    - strip-roots, when N >= m >= n and the roots of r pass the guard of
+      _certified_roots: O(n) closed forms and one contour quadrature
+      (_strip_roots_sum), with no array of length m.
+    - strip-fft otherwise: r(phi(z)) composed to degree m through phi's own
+      differential equation (_compose_phi) and summed by the FFT series
+      engine, in O(m log m) time and O(m) memory.
+
+    The report's path names the route, and for strip-fft the reason. Degree
+    0 returns ln g(0).
     """
     t0 = time.perf_counter()
     info = _classify(value)
@@ -985,12 +1201,19 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     deg_g = phi.N * info.n
     m, bound = _certified_degree("approx_log_strip", deg_g, phi.beta, epsilon, degree, force)
     total = info.log_g0
+    # why the roots route is not taken; None while it may be
+    why = "N < m" if phi.N < m else "m < n" if m < info.n else None
     try:
         if m > 0:
-            chat = g_taylor_coefficients(value, min(m, info.n), budget)
-            g_c = _compose_phi(chat.real, phi, m)
-            total += series_log_prefix_sum(g_c, m)
-            del g_c
+            chat = g_taylor_coefficients(value, min(m, info.n), budget).real
+            part = None
+            if why is None:
+                part, why = _strip_roots_sum(chat, phi, m)
+            if part is None:
+                g_c = _compose_phi(chat, phi, m)
+                part = series_log_prefix_sum(g_c, m)
+                del g_c
+            total += part
     except MemoryError as exc:
         raise BudgetExceeded(f"approx_log_strip: degree {m} ran out of memory") from exc
     return ApproxReport(
@@ -1004,4 +1227,5 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
         elapsed_s=time.perf_counter() - t0,
         rho=rho,
         phi_degree=phi.N,
+        path="strip-roots" if why is None else f"strip-fft ({why})",
     )
