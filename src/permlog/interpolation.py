@@ -565,8 +565,8 @@ _PHI_PANEL_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0)
 _PHI_NODES_PER_PANEL = 32
 
 
-# cached: leggauss costs far more than one evaluation of phi, and callers
-# that never reach a quadrature never pay it
+# cached: leggauss costs far more than one evaluation of phi, and disc-only
+# callers never pay it
 @functools.cache
 def _gauss_legendre():
     """The Gauss-Legendre rule on [-1, 1] that every panel uses, read-only."""
@@ -694,7 +694,9 @@ class ApproxReport:
     disc pipelines. path names the route that summed the log series: "disc",
     "strip-roots", or "strip-fft (<reason>)" with the reason the roots route
     was not taken: "N < m", "m < n" (the coefficients stop short of degree n),
-    "root guard", "z* outside the loop" or "quadrature error".
+    "root guard", "z* outside the loop" or "quadrature error". A strip op at
+    degree 0 sums no series and returns ln g(0); its path is
+    "strip (degree 0)".
     """
 
     log_value: complex
@@ -819,9 +821,7 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
     beta = (region maximum)/eta; m = choose_degree(n, beta, epsilon) unless
     `degree` overrides it. The normalized coefficients c_0..c_min(m,n) of g
     go through the log-series recurrence series_log_coeffs_direct, and its
-    terms are summed with compensation. Past degree n only n terms go
-    through the recurrence; the rest come from the certified roots of g
-    (_disc_tail), unless their guard fails. Raises RegionViolation when the
+    m terms are summed with compensation. Raises RegionViolation when the
     input is outside (unless force=True, which blanks the certificate), and
     BudgetExceeded when m exceeds MAX_DEGREE.
     """
@@ -856,11 +856,7 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
     m, bound = _certified_degree("approx_log_disc", info.n, beta, epsilon, degree, force)
     try:
         chat = _taylor_prefix_coeffs(value, info, min(m, info.n), budget)
-        tail = _disc_tail(chat, m) if m > info.n else None
-        terms = m if tail is None else info.n
-        total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, terms))
-        if tail is not None:
-            total += tail
+        total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
     except MemoryError as exc:
         raise BudgetExceeded(f"approx_log_disc: degree {m} ran out of memory") from exc
     return ApproxReport(
@@ -1106,33 +1102,6 @@ def _strip_roots_sum(rhat, phi, m):
     return math.log(abs(r_at_one)) + float(h.real), None
 
 
-def _disc_tail(chat, m):
-    """sum_{k=n+1..m} psi_k of ln r for the polynomial r of degree n with
-    normalized coefficients chat and m > n, or None when its roots cannot be
-    certified outside the unit disc. psi_k = -(1/k) sum_i zeta_i^(-k), so the
-    tail is -sum_i (T_n(y_i) - T_m(y_i)), y = 1/zeta, through _phi_tail. The
-    quadrature must reproduce T_n(y) = -ln(1 - y) - sum_{k<=n} y^k/k to the
-    roundoff of that closed form (a complex log1p errs by about u, each of
-    its n terms by about u relative); the quadrature's pole, at
-    t = (N+1) ln y, only moves away as N grows."""
-    certified = _certified_roots(chat)
-    if certified is None:
-        return None
-    roots, radius = certified
-    if not np.all(np.abs(roots) - radius > 1.0):
-        return None
-    n = chat.size - 1
-    y = 1.0 / roots
-    head = np.cumprod(np.repeat(y[:, None], n, axis=1), axis=1) / np.arange(1, n + 1)
-    log_term = np.log1p(-y)
-    closed = -log_term - head.sum(axis=1)
-    size = 1.0 + np.abs(log_term) + np.abs(head).sum(axis=1)
-    t_n = _phi_tail(y, n)
-    if not np.sum(np.abs(t_n - closed)) <= (n + 2) * _UNIT_ROUNDOFF * float(size.sum()):
-        return None
-    return -complex(np.sum(t_n - _phi_tail(y, m)))
-
-
 def _require_real(arr, where):
     if np.any(arr.imag != 0):
         idx = np.unravel_index(int(np.argmax(arr.imag != 0)), arr.shape)
@@ -1159,7 +1128,7 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
       engine, in O(m log m) time and O(m) memory.
 
     The report's path names the route, and for strip-fft the reason. Degree
-    0 returns ln g(0).
+    0 returns ln g(0) with path "strip (degree 0)".
     """
     t0 = time.perf_counter()
     info = _classify(value)
@@ -1201,11 +1170,12 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     deg_g = phi.N * info.n
     m, bound = _certified_degree("approx_log_strip", deg_g, phi.beta, epsilon, degree, force)
     total = info.log_g0
-    # why the roots route is not taken; None while it may be
-    why = "N < m" if phi.N < m else "m < n" if m < info.n else None
+    path = "strip (degree 0)"
     try:
         if m > 0:
             chat = g_taylor_coefficients(value, min(m, info.n), budget).real
+            # why the roots route is not taken; None while it may be
+            why = "N < m" if phi.N < m else "m < n" if m < info.n else None
             part = None
             if why is None:
                 part, why = _strip_roots_sum(chat, phi, m)
@@ -1214,6 +1184,7 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
                 part = series_log_prefix_sum(g_c, m)
                 del g_c
             total += part
+            path = "strip-roots" if why is None else f"strip-fft ({why})"
     except MemoryError as exc:
         raise BudgetExceeded(f"approx_log_strip: degree {m} ran out of memory") from exc
     return ApproxReport(
@@ -1227,5 +1198,5 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
         elapsed_s=time.perf_counter() - t0,
         rho=rho,
         phi_degree=phi.N,
-        path="strip-roots" if why is None else f"strip-fft ({why})",
+        path=path,
     )

@@ -261,6 +261,8 @@ class TestApproxCommand:
         "work, args",
         [
             ("series_log_coeffs_direct", ["--method", "disc", "--eta", "0.3"]),
+            # m <= N: the roots route runs in place of the series work
+            ("series_log_prefix_sum", ["--method", "strip", "--delta", "0.7", "--epsilon", "0.1"]),
             # epsilon 0.01 puts the degree past N, on the FFT series route
             ("series_log_prefix_sum", ["--method", "strip", "--delta", "0.7", "--epsilon", "0.01"]),
         ],
@@ -270,6 +272,7 @@ class TestApproxCommand:
             raise MemoryError
 
         monkeypatch.setattr(permlog.interpolation, work, exhausted)
+        monkeypatch.setattr(permlog.interpolation, "_strip_roots_sum", exhausted)
         path, _ = matrix_file
         code = main(["approx", str(path), *args])
         err = capsys.readouterr().err

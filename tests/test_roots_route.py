@@ -1,17 +1,15 @@
-"""The roots routes: the strip log sum from the certified roots of g when
-N >= m, the disc tail beyond degree n, and the root guard both rest on."""
+"""The strip roots route: the log sum from the certified roots of g when
+N >= m, and the root guard it rests on."""
 
 import math
 
 import numpy as np
 import pytest
 
-import permlog.interpolation
 from permlog import (
     ComplexMatrix,
     ComplexTensor,
     SymmetricComplexMatrix,
-    approx_log_disc,
     approx_log_strip,
     build_phi,
     permanent_exact,
@@ -19,11 +17,10 @@ from permlog import (
 from permlog.interpolation import (
     _certified_roots,
     _compose_phi,
-    _disc_tail,
     _strip_roots_sum,
     g_taylor_coefficients,
 )
-from permlog.series import compensated_total, series_log_coeffs_direct, series_log_prefix_sum
+from permlog.series import series_log_prefix_sum
 
 
 def _kind_n(value):
@@ -117,6 +114,12 @@ class TestStripRootsRoute:
         assert why is None
         assert total == pytest.approx(series_log_prefix_sum(_compose_phi(far, phi, 300), 300), abs=1e-13)
 
+    def test_degree_zero_names_no_route(self):
+        a = ComplexMatrix(np.random.default_rng(85).uniform(0.7, 1.0, (3, 3)))
+        rep = approx_log_strip(a, 0.7, 0.1, degree=0, force=True)
+        assert rep.path == "strip (degree 0)"
+        assert rep.log_value == complex(math.log(6.0))
+
     def test_no_roots(self):
         rep = approx_log_strip(ComplexMatrix(np.ones((3, 3))), 0.7, 0.1)
         assert rep.path == "strip-roots"
@@ -149,49 +152,3 @@ class TestRootGuard:
         roots, radius = _certified_roots(c)
         for w in want:
             assert np.any(np.abs(roots - w) <= radius)
-
-
-class TestDiscTail:
-    def test_matches_log_recurrence(self):
-        rng = np.random.default_rng(85)
-        for n in (2, 4, 6):
-            dev = 0.3 * rng.uniform(0, 1, (n, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, (n, n)))
-            chat = g_taylor_coefficients(ComplexMatrix(1.0 + dev), n)
-            for m in (n + 1, n + 7, 500):
-                want = compensated_total(series_log_coeffs_direct(chat, m)[n:])
-                assert abs(_disc_tail(chat, m) - want) <= 1e-14
-
-    def test_roots_near_unit_circle_keep_the_loop(self):
-        # r = 1 - x/zeta: the tail quadrature at N = 1 has its pole at
-        # t = 2 ln(1/zeta), too close to [0, 1] for zeta just above 1
-        for zeta, ok in ((1.02, False), (1.005, False), (-1.005, True), (1.2, True), (1.01j, True)):
-            tail = _disc_tail(np.array([1.0, -1.0 / zeta], dtype=complex), 10**4)
-            assert (tail is not None) == ok
-            if ok:
-                want = -sum((1.0 / zeta) ** k / k for k in range(2, 10**4 + 1))
-                assert abs(tail - want) <= 1e-14
-
-    def test_high_degree_is_fast_and_flat(self):
-        a = ComplexMatrix(np.random.default_rng(86).uniform(0.6, 1.0, (3, 3)))
-        low = approx_log_disc(a, 0.4, 1e-3, degree=400, force=True)
-        high = approx_log_disc(a, 0.4, 1e-3, degree=10**6, force=True)
-        assert high.path == low.path == "disc"
-        assert high.elapsed_s < 0.5
-        assert abs(high.log_value - low.log_value) <= 1e-14
-        assert abs(high.log_value.real - math.log(permanent_exact(a).real)) <= 1e-13
-
-    def test_guard_failure_keeps_the_loop(self, monkeypatch):
-        calls = []
-        loop = series_log_coeffs_direct
-
-        def spy(c, m):
-            calls.append(m)
-            return loop(c, m)
-
-        monkeypatch.setattr(permlog.interpolation, "series_log_coeffs_direct", spy)
-        # a triple root fails the guard, so the recurrence runs to m; simple
-        # roots stop it at n = 3. Both ops have the same m.
-        approx_log_disc(ComplexMatrix(np.full((3, 3), 0.9)), 0.4, 1e-3)
-        a = ComplexMatrix(np.random.default_rng(87).uniform(0.7, 1.0, (3, 3)))
-        rep = approx_log_disc(a, 0.4, 1e-3)
-        assert calls == [rep.degree_used, 3]
