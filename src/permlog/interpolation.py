@@ -322,22 +322,73 @@ def g_full_expansion_tensor(ten, limit=10**5):
 # ---------------------------------------------------------------------------
 # truncated inclusion-exclusion: c_k = g_k / g_0 for k <= m in n^O(m) work
 
-# complex elements per working array; subsets are streamed in chunks of this
-# size so memory does not grow with the number of subsets
-_ENGINE_CHUNK = 1 << 18
+# complex elements per block of the prefix walk and per merged batch: the
+# walk holds one block per level, so memory stays at a few blocks whatever
+# the number of subsets
+_ENGINE_CHUNK = 1 << 14
 
 
-def _subset_chunks(n, s, rows):
-    """The s-subsets of range(n) in lexicographic order, as (<= rows, s)
-    index arrays."""
-    combos = itertools.combinations(range(n), s)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, rows)), dtype=np.intp
-        )
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, s)
+def _prefix_walk(n, top, root, extend, rows):
+    """Depth-first walk over the subsets of range(n) of sizes 1..top, in
+    blocks of at most rows[s] sets of one size s.
+
+    An s-set is its (s-1)-prefix plus one index v above the prefix's
+    largest, so its state is extend(states, parents, v, s): the states of a
+    parent block (root for the empty set) gathered by `parents`, extended by
+    v. Yields (s, states) blocks, each before its children.
+    """
+
+    def grow(s, states, last):
+        counts = n - 1 - last
+        starts = np.cumsum(counts) - counts
+        parents = np.repeat(np.arange(counts.size), counts)
+        # each parent's children take v = last + 1, ..., n - 1
+        v = np.arange(parents.size) + np.repeat(last + 1 - starts, counts)
+        step = rows[s + 1]
+        for lo in range(0, v.size, step):
+            child = extend(states, parents[lo : lo + step], v[lo : lo + step], s + 1)
+            yield s + 1, child
+            if s + 1 < top:
+                yield from grow(s + 1, child, v[lo : lo + step])
+
+    yield from grow(0, root, np.array([-1]))
+
+
+def _merged(blocks, weights, w):
+    """The (s, states) blocks of a walk, states of shape (sets, C, ...),
+    merged into (states, weights) batches of about _ENGINE_CHUNK elements:
+    states of shape (sets * C, ...), and w[s] * weights[c] for each row."""
+
+    def merge(batch):
+        sizes = np.repeat([s for s, _ in batch], [len(st) for _, st in batch])
+        states = np.concatenate([st for _, st in batch])
+        rows = w[sizes][:, None, :] * weights
+        return states.reshape((-1,) + states.shape[2:]), rows.reshape(-1, w.shape[1])
+
+    batch, size = [], 0
+    for block in blocks:
+        batch.append(block)
+        size += block[1].size
+        if size >= _ENGINE_CHUNK:
+            yield merge(batch)
+            batch, size = [], 0
+    if batch:
+        yield merge(batch)
+
+
+def _elementary_symmetric(r, m):
+    """e_0..e_m of each column of r (n, N): the coefficients of
+    prod_i (1 + z r[i]) up to z^m, shape (m + 1, N)."""
+    e = np.zeros((m + 1, r.shape[1]), dtype=np.complex128)
+    e[0] = 1.0
+    if m == 1:
+        # the pass would add each row to e_1 alone
+        e[1] = r.sum(axis=0)
+        return e
+    for i, ri in enumerate(r):
+        top = min(i + 1, m)
+        e[1 : top + 1] += ri * e[:top]
+    return e
 
 
 def _ryser_weights(n, m):
@@ -356,48 +407,32 @@ def _ryser_weights(n, m):
     return w
 
 
-def _ryser_last_axis(mats, m, w):
-    """For each matrix M of the (C, n, n) batch,
-    sum_{1 <= |T| <= m} w[|T|] * e_{0..m}(r_1(T), ..., r_n(T)), with
-    r_i(T) = sum_{j in T} M[i, j]; shape (C, m + 1)."""
-    c, n, _ = mats.shape
-    out = np.zeros((c, m + 1), dtype=np.complex128)
-    rows = max(1, _ENGINE_CHUNK // (c * n))
-    for s in range(1, m + 1):
-        for cols in _subset_chunks(n, s, rows):
-            r = mats[:, :, cols[:, 0]]
-            for a in range(1, s):
-                r = r + mats[:, :, cols[:, a]]
-            r = np.moveaxis(r, 1, 0).reshape(n, -1)
-            e = np.zeros((r.shape[1], m + 1), dtype=np.complex128)
-            e[:, 0] = 1.0
-            for i in range(n):
-                e[:, 1:] += r[i][:, None] * e[:, :-1]
-            out += e.reshape(c, -1, m + 1).sum(axis=1) * w[s]
-    return out
+def _tensor_terms(b, weights, m, w, acc):
+    """Add to acc the inclusion-exclusion terms of a batch b of C tensors,
+    shape (C, n, ..., n), weighted by weights (C, m + 1).
 
+    One prefix walk over the column sets T of each tensor's second axis
+    contracts it to the slabs B(T + {v}) = B(T) + b[:, :, v]. For matrices
+    the slab is the row-sum vector r(T), and every set adds
+    w[|T|] * e_{0..m}(r(T)) through one elementary-symmetric pass per
+    merged batch; higher tensors recurse on their slabs, weighted by
+    w[|T|] per axis.
+    """
+    n = b.shape[1]
+    slabs = b.transpose((2, 0, 1) + tuple(range(3, b.ndim)))
 
-def _tensor_terms(b, m, w, weight, acc):
-    """Add to acc the inclusion-exclusion terms of every tuple of column sets
-    on the middle axes 1..ndim-2 of b, each contracted away and weighted by
-    weight * prod_j w[|T_j|]; the last axis goes through _ryser_last_axis."""
-    n = b.shape[0]
-    if b.ndim == 2:
-        acc.add(_ryser_last_axis(b[None], m, w)[0] * weight)
-        return
-    if b.ndim == 3:
-        rows = max(1, _ENGINE_CHUNK // (4 * n * n))
-        for s in range(1, m + 1):
-            for cols in _subset_chunks(n, s, rows):
-                mats = b[:, cols[:, 0], :]
-                for a in range(1, s):
-                    mats = mats + b[:, cols[:, a], :]
-                terms = _ryser_last_axis(mats.transpose(1, 0, 2), m, w)
-                acc.add(terms.sum(axis=0) * (w[s] * weight))
-        return
-    for s in range(1, m + 1):
-        for cols in itertools.combinations(range(n), s):
-            _tensor_terms(b[:, list(cols)].sum(axis=1), m, w, w[s] * weight, acc)
+    def extend(states, parents, v, s):
+        child = states[parents]
+        child += slabs[v]
+        return child
+
+    root = np.zeros((1,) + slabs.shape[1:], dtype=np.complex128)
+    blocks = _prefix_walk(n, m, root, extend, [max(1, _ENGINE_CHUNK // slabs[0].size)] * (m + 1))
+    for states, rows in _merged(blocks, weights, w):
+        if b.ndim > 3:
+            _tensor_terms(states, rows, m, w, acc)
+        else:
+            acc.add((_elementary_symmetric(states.T, m) * rows.T).sum(axis=1))
 
 
 def _hafnian_weights(two_n, m):
@@ -420,19 +455,50 @@ def _hafnian_weights(two_n, m):
 
 def _hafnian_coefficients(b, m):
     """(0, c_1, ..., c_m) of haf(J + zB): c_k = sum_S w[|S|, k] e(S)^k over
-    vertex sets 2 <= |S| <= 2m, e(S) = sum_{i<j in S} b_ij."""
+    vertex sets 2 <= |S| <= 2m, e(S) = sum_{i<j in S} b_ij.
+
+    One prefix walk carries e(S) and R_S = sum_{u in S} b[u, :]:
+    e(S + {v}) = e(S) + R_S[v] and R_{S + {v}} = R_S + b[v]. The deepest
+    sets need no R, and their parents' R is read only at the deepest sets'
+    entries, so it stays unformed: (R of the grandparents, grandparent, u)
+    with R_{S + {u}}[v] = R_S[v] + b[u, v].
+    """
     two_n = b.shape[0]
+    top = 2 * m
     w = _hafnian_weights(two_n, m)
+    flat_b = b.ravel()
+
+    def extend(states, parents, v, s):
+        e, r = states
+        child_e = e[parents]
+        if isinstance(r, tuple):
+            r, grand, u = r
+            child_e += flat_b[u[parents] * two_n + v]
+            parents = grand[parents]
+        child_e += r.ravel()[parents * two_n + v]
+        if s == top:
+            return child_e, None
+        if s == top - 1:
+            return child_e, (r, parents, v)
+        child_r = r[parents]
+        child_r += b[v]
+        return child_e, child_r
+
+    root = (np.zeros(1, dtype=np.complex128), np.zeros((1, two_n), dtype=np.complex128))
     acc = KahanSum()
-    for s in range(2, 2 * m + 1):
-        for verts in _subset_chunks(two_n, s, _ENGINE_CHUNK // m):
-            e = np.zeros(verts.shape[0], dtype=np.complex128)
-            for a in range(s):
-                for c in range(a + 1, s):
-                    e += b[verts[:, a], verts[:, c]]
-            powers = np.cumprod(np.repeat(e[:, None], m, axis=1), axis=1)
-            acc.add(powers.sum(axis=0) * w[s, 1:])
-    return np.concatenate(([0j], acc.value))
+    sums = np.zeros(m + 1, dtype=np.complex128)
+    # sets per block: a parent block's children, up to two_n per set, fill
+    # one block; the deepest sets carry a scalar each
+    rows = [max(1, _ENGINE_CHUNK // two_n)] * top + [_ENGINE_CHUNK]
+    for s, (e, _) in _prefix_walk(two_n, top, root, extend, rows):
+        if s < 2:
+            continue
+        power = e
+        for k in range(1, m + 1):
+            sums[k] = power.sum()
+            power = power * e
+        acc.add(sums * w[s])
+    return acc.value
 
 
 def _engine_operations(value, m):
@@ -455,6 +521,12 @@ def g_taylor_coefficients(value, m, budget=DEFAULT_BUDGET):
       column sets; c_k = W_k / ((n)_k)^(d-1).
     - haf: W_k = (1/k!) sum_{|S|<=2k} (-1)^|S| C(2n-|S|, 2k-|S|) e(S)^k,
       e(S) = sum_{i<j in S} b_ij; c_k = W_k (2n-2k-1)!! / (2n-1)!!.
+
+    The sets come from one depth-first prefix walk (_prefix_walk): each
+    s-set is its (s-1)-prefix plus one larger index v, so r(T + {v}) =
+    r(T) + b[:, v] and e(S + {v}) = e(S) + R_S[v] cost one vector add per
+    set, not s. All sizes of a block share one elementary-symmetric pass,
+    and blocks of about _ENGINE_CHUNK complex numbers bound the memory.
 
     W_k is the k-matching weight of the deviation hypergraph. `budget` caps
     the operation count, checked before any work: C(n, <=m) n m (per),
@@ -480,7 +552,7 @@ def g_taylor_coefficients(value, m, budget=DEFAULT_BUDGET):
         out = _hafnian_coefficients(b, m)
     else:
         acc = KahanSum()
-        _tensor_terms(b, m, _ryser_weights(n, m), 1.0, acc)
+        _tensor_terms(b[None], np.ones((1, m + 1)), m, _ryser_weights(n, m), acc)
         out = acc.value
     out[0] = 1.0
     return out
@@ -635,9 +707,15 @@ class PhiPolynomial:
                 f"PhiPolynomial: N(rho) = exp({exponent:.1f})-scale is not materializable"
             )
         alpha = -math.expm1(-1.0 / rho)
+        beta = -math.expm1(-exponent) / alpha
+        # beta = 1 + O(e^(-1/rho)) rounds to 1 once e^(-1/rho) nears the
+        # double epsilon (rho below about 1/36), and alpha soon after; no
+        # degree then certifies the map
+        if not beta > 1.0:
+            raise BudgetExceeded(f"PhiPolynomial: beta rounds to 1 at rho={rho}; no degree certifies it")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", -math.expm1(-exponent) / alpha)
+        object.__setattr__(self, "beta", beta)
         big_n = int(math.floor(exponent * math.exp(exponent)))
         object.__setattr__(self, "N", big_n)
         # complex like every y in __call__, so that phi(1) divides sigma by itself

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,19 @@ class TestApproxCommand:
         err = capsys.readouterr().err
         assert code == EXIT_BUDGET
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("delta", ["0.28", "0.2"])
+    def test_strip_delta_below_double_range_exit_code(self, capsys, tmp_path, delta):
+        # rho < 1/36 here: phi's beta rounds to 1, which no degree certifies
+        p = tmp_path / "flat.json"
+        save_instance(ComplexMatrix(np.full((3, 3), 0.3)), p)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["approx", str(p), "--method", "strip", "--delta", delta])
+        err = capsys.readouterr().err
+        assert code == EXIT_BUDGET
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert caught == []
 
     @pytest.mark.parametrize(
         "work, args",

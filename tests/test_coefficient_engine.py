@@ -73,6 +73,39 @@ class TestAgreesWithTupleSums:
             assert np.array_equal(got, g_taylor_coefficients(ComplexMatrix(arr), m))
 
 
+class TestBlockBoundaries:
+    """With a tiny block size every level of the prefix walk splits, and
+    the merged batches mix sizes; the coefficients must not move."""
+
+    CASES = [
+        ("per", 7, range(6)),
+        ("haf", 12, range(4)),
+        ("tensor3", 5, range(4)),
+        ("tensor4", 4, range(3)),
+    ]
+
+    @staticmethod
+    def _value(kind, n, rng):
+        if kind == "per":
+            return ComplexMatrix(_complex_disc(rng, (n, n), 0.4)), g_derivatives_permanent
+        if kind == "haf":
+            raw = _complex_disc(rng, (n, n), 0.3)
+            return SymmetricComplexMatrix((raw + raw.T) / 2.0), g_derivatives_hafnian
+        d = int(kind[-1])
+        return ComplexTensor(_complex_disc(rng, (n,) * d, 0.3)), g_derivatives_tensor
+
+    @pytest.mark.parametrize("kind, n, degrees", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("chunk", [1, 40])
+    def test_tiny_blocks_agree(self, monkeypatch, kind, n, degrees, chunk):
+        value, tuple_sums = self._value(kind, n, np.random.default_rng(120 + n))
+        default = [g_taylor_coefficients(value, m) for m in degrees]
+        monkeypatch.setattr(permlog.interpolation, "_ENGINE_CHUNK", chunk)
+        for m, want in zip(degrees, default):
+            got = g_taylor_coefficients(value, m)
+            _assert_close(got, want)
+            _assert_close(got, _normalized(tuple_sums(value, m)))
+
+
 def _exact_normalized(term_weights, m):
     """c_0..c_m of g(z) = sum_terms prod_{w in term} (1 + z w), exactly:
     each term contributes its elementary symmetric sums."""
@@ -172,7 +205,7 @@ class TestContract:
         def no_work(*args):
             raise AssertionError("subsets enumerated before the budget check")
 
-        monkeypatch.setattr(permlog.interpolation, "_subset_chunks", no_work)
+        monkeypatch.setattr(permlog.interpolation, "_prefix_walk", no_work)
         for value, m in [
             (ComplexMatrix(np.ones((60, 60))), 10),
             (ComplexTensor(np.ones((20, 20, 20))), 5),
