@@ -762,7 +762,7 @@ def build_phi(rho):
 # pipelines
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproxReport:
     """Certified approximation of ln per/haf/PER.
 
@@ -881,14 +881,25 @@ def _taylor_prefix_coeffs(value, info, mm, budget):
 
 def _certified_degree(where, deg_g, beta, epsilon, degree, force):
     """(m, bound): the degree `degree`, or the least one certifying epsilon,
-    and its truncation bound. Raises BudgetExceeded when the bound exceeds
-    epsilon (unless force) or m exceeds MAX_DEGREE."""
-    m = int(degree) if degree is not None else choose_degree(deg_g, beta, epsilon)
+    and its truncation bound. Raises InfeasibleParameters when `degree` is
+    not a nonnegative integral number, and BudgetExceeded when m exceeds
+    MAX_DEGREE or its bound exceeds epsilon (unless force)."""
+    if degree is None:
+        m = choose_degree(deg_g, beta, epsilon)
+    else:
+        try:
+            m = int(degree)
+        except (TypeError, ValueError, OverflowError):
+            m = None
+        if m is None or m != degree or m < 0:
+            raise InfeasibleParameters(
+                f"{where}: degree must be a nonnegative integer, got {degree!r}"
+            )
+    if m > MAX_DEGREE:
+        raise BudgetExceeded(f"{where}: degree {m} exceeds the supported {MAX_DEGREE}")
     bound = taylor_error_bound(deg_g, beta, m)
     if bound > epsilon and not force:
         raise BudgetExceeded(f"{where}: degree {m} certifies only {bound:.3g} > epsilon {epsilon}")
-    if m > MAX_DEGREE:
-        raise BudgetExceeded(f"{where}: degree {m} exceeds the supported {MAX_DEGREE}")
     return m, bound
 
 
@@ -965,6 +976,9 @@ def _strip_parameters(s, d):
         raise InfeasibleParameters(f"_strip_parameters: no room between s={s} and cap={cap}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # adjacent floats: every further step would leave 0.5 * (lo + hi) at mid
+        if not lo < mid < hi:
+            break
         if (mid / s - 1.0) < tau_bound(mid, d) / s:
             lo = mid
         else:
@@ -1051,22 +1065,31 @@ def _certified_roots(c):
     with radii such that each disc holds exactly one root; None when a root
     cannot be certified.
 
-    np.roots gives the start points and Newton polishes them against c.
-    Each then passes Smale's alpha-test, alpha = beta gamma < alpha_0 with
+    np.roots gives the start points and three Newton steps polish them
+    against c, each evaluating f and f' by one Horner loop (the operations
+    of _taylor_shift's first two passes, without their error terms). Each
+    root then passes Smale's alpha-test, alpha = beta gamma < alpha_0 with
     beta = |f/f'| and gamma = max_k |f^(k)/(k! f')|^(1/(k-1)), evaluated
-    with the running error bounds so that the test holds for the float
-    polynomial; the root lies within 2 beta. The discs must be disjoint, so
-    that they hold all the roots, each once. A multiple root fails the test.
+    with the running error bounds of one full _taylor_shift so that the
+    test holds for the float polynomial; the root lies within 2 beta. The
+    discs must be disjoint, so that they hold all the roots, each once. A
+    multiple root fails the test. For real c the roots come in conjugate
+    pairs bit for bit, as complex arithmetic commutes with conjugation.
     """
     c = c[: np.flatnonzero(c)[-1] + 1]
     deg = c.size - 1
     if deg == 0:
         return np.zeros(0, dtype=np.complex128), np.zeros(0)
+    # real c keeps a real companion matrix, whose eigenvalues pair exactly
     x = np.roots(c[::-1]).astype(np.complex128)
+    c = c.astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
-            b, _ = _taylor_shift(c, x, 2)
-            x = x - b[0] / b[1]
+            f = df = c[deg]
+            for j in range(deg - 1, 0, -1):
+                f = c[j] + x * f
+                df = f + x * df
+            x = x - (c[0] + x * f) / df
     if not np.all(np.isfinite(x)):
         return None
     b, err = _taylor_shift(c, x, deg + 1)
@@ -1074,9 +1097,8 @@ def _certified_roots(c):
     if np.any(slope <= 0.0):
         return None
     beta = (np.abs(b[0]) + err[0]) / slope
-    gamma = np.zeros(deg)
-    for k in range(2, deg + 1):
-        gamma = np.maximum(gamma, ((np.abs(b[k]) + err[k]) / slope) ** (1.0 / (k - 1)))
+    power = 1.0 / np.arange(1.0, deg)[:, None]
+    gamma = np.max(((np.abs(b[2:]) + err[2:]) / slope) ** power, axis=0, initial=0.0)
     if not np.all(beta * gamma < _SMALE_ALPHA0):
         return None
     radius = 2.0 * beta
@@ -1112,12 +1134,17 @@ def _strip_roots_sum(rhat, phi, m):
     and of the pole at z = 1, s = (m+1) ln alpha, outside, so that every
     log on H stays on its principal branch. (Splitting off each z* as a
     closed form does not work here: z* lies within e^(-Re sigma zeta) of the
-    branch point, where the rest of the log still jumps by 2 pi i.) The
-    circle takes 64 Gauss-Legendre nodes in the angle, and the rays
-    s = r + t (m+1)/m, whose weight falls as e^(-t), the panels of
-    _phi_quadrature. H is evaluated again at radius r/e; the two must agree
-    within Horner's a priori bound on F(1), 2n u sum_k |rhat_k| Phi(1)^k /
-    |r(Phi(1))| (Higham, 5.1).
+    branch point, where the rest of the log still jumps by 2 pi i.)
+
+    r is real, so its certified roots are closed under conjugation and F
+    commutes with it: the lower half of H is the mirror image of the upper
+    half, and the integral is real. So the circle takes 32 Gauss-Legendre
+    nodes on the upper half, summed as 2 Re, and the rays s = r + t (m+1)/m,
+    whose weight falls as e^(-t), the panels of _phi_quadrature on the upper
+    side only, where the jump across the cut is -2i Im F. H is evaluated at
+    radius r and again at r/e, both in one batch; the two real values must
+    agree within Horner's a priori bound on F(1),
+    2n u sum_k |rhat_k| Phi(1)^k / |r(Phi(1))| (Higham, 5.1).
     """
     certified = _certified_roots(rhat)
     if certified is None:
@@ -1142,10 +1169,6 @@ def _strip_roots_sum(rhat, phi, m):
     if not margin * inner < r:
         return None, "z* outside the loop"
 
-    def log_sum(v):
-        # F at points where ln(1 - alpha z) = v, since 1 - Phi/zeta = 1 + v/w
-        return np.log1p(v[:, None] / w[None, :]).sum(axis=1)
-
     def weight(s, decay):
         # z^(-m) / ((1 - z)(m + 1)) with z = e^(s/(m+1))/alpha, e^(-t) left out
         # on the rays; alpha - e^u is -(expm1(u) + 1 - alpha), 1 - alpha exact
@@ -1154,30 +1177,33 @@ def _strip_roots_sum(rhat, phi, m):
             -(np.expm1(u) + (1.0 - phi.alpha)) * (m + 1)
         )
 
+    # one row per radius: the upper half circle, then the upper side of the cut
     x, wx = _gauss_legendre()
-    theta = 0.5 * math.pi * np.concatenate((x + 1.0, x + 3.0))
-    theta_w = 0.5 * math.pi * np.concatenate((wx, wx))
+    theta = 0.5 * math.pi * (x + 1.0)
     nodes, weights = _phi_quadrature()
-
-    def hankel(r):
-        s = r * np.exp(1j * theta)
-        v = np.log(-np.expm1(s / (m + 1)))
-        loop = -np.sum(theta_w * log_sum(v) * weight(s, s) * s) / (2.0 * math.pi)
-        s = r + nodes * ((m + 1) / m)
-        v = np.log(np.expm1(s / (m + 1))).astype(np.complex128)
-        jump = log_sum(v - 1j * math.pi) - log_sum(v + 1j * math.pi)
-        rays = np.sum(weights * jump * weight(s, r)) * ((m + 1) / m) / (2j * math.pi)
-        return loop + rays
+    radii = np.array([[r], [r / math.e]])
+    s_loop = radii * np.exp(1j * theta)
+    s_ray = radii + nodes * ((m + 1) / m)
+    v = np.concatenate(
+        (np.log(-np.expm1(s_loop / (m + 1))), np.log(np.expm1(s_ray / (m + 1))) + 1j * math.pi),
+        axis=1,
+    )
+    # F at points where ln(1 - alpha z) = v, since 1 - Phi/zeta = 1 + v/w
+    f = np.log1p(v[:, :, None] / w).sum(axis=2)
+    loop = -np.sum(wx * (f[:, : theta.size] * weight(s_loop, s_loop) * s_loop).real, axis=1)
+    rays = -np.sum(weights * f[:, theta.size :].imag * weight(s_ray, radii), axis=1) * ((m + 1) / m)
+    # 1/(2 pi) times the angle weights (pi/2) wx counted twice (2 Re) is 1/2;
+    # the jump -2i Im F over 2 pi i is -Im F / pi
+    h = 0.5 * loop + rays / math.pi
 
     at_one = -math.log1p(-phi.alpha) / sigma
     r_at_one = float(np.polynomial.polynomial.polyval(at_one, rhat))
     bound = 2 * roots.size * _UNIT_ROUNDOFF * float(
         np.polynomial.polynomial.polyval(at_one, np.abs(rhat))
     ) / abs(r_at_one)
-    h = hankel(r)
-    if not abs(h - hankel(r / math.e)) <= bound:
+    if not abs(h[0] - h[1]) <= bound:
         return None, "quadrature error"
-    return math.log(abs(r_at_one)) + float(h.real), None
+    return math.log(abs(r_at_one)) + float(h[0]), None
 
 
 def _require_real(arr, where):
@@ -1215,8 +1241,13 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     arr = value.array
     _require_real(arr, "approx_log_strip")
     re = arr.real
+    try:
+        param = float(delta_or_eta)
+    except (TypeError, ValueError, OverflowError) as exc:
+        name = "eta" if info.shape == "tensor" else "delta"
+        raise InfeasibleParameters(f"approx_log_strip: {name} is not a float: {exc}") from exc
     if info.shape == "tensor":
-        eta = float(delta_or_eta)
+        eta = param
         cap = eta_d_strip(info.d)
         if not (0.0 <= eta):
             raise InfeasibleParameters(f"approx_log_strip: eta must be >= 0, got {eta}")
@@ -1226,7 +1257,7 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
         bad = np.abs(1.0 - re) > eta
         domain = f"|1 - a| <= {eta}"
     else:
-        delta = float(delta_or_eta)
+        delta = param
         if not (0.0 < delta <= 1.0):
             raise InfeasibleParameters(
                 f"approx_log_strip: delta must lie in (0, 1], got {delta}"

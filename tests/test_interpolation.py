@@ -1,5 +1,6 @@
 """Interpolation building blocks and the certified pipelines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,7 +38,8 @@ from permlog import (
 )
 import permlog.interpolation
 from permlog.core import UnivariatePolynomial, poly_compose_truncated
-from permlog.interpolation import _compose_phi, g_taylor_coefficients
+from permlog.interpolation import _compose_phi, _strip_parameters, g_taylor_coefficients
+from permlog.regions import tau_bound
 from permlog.series import compensated_total, series_log_coeffs_direct
 
 
@@ -445,6 +447,102 @@ def test_degree_cap(pipeline):
     a = ComplexMatrix(np.full((3, 3), 0.9 + 0.0j))
     with pytest.raises(BudgetExceeded, match="exceeds the supported"):
         pipeline(a, 0.4, 1e-3, degree=10**10)
+
+
+@pytest.mark.parametrize("pipeline, param", [(approx_log_disc, 0.4), (approx_log_strip, 0.7)])
+@pytest.mark.parametrize("degree", [-1, math.nan, math.inf, -math.inf, 2.5, "2"])
+def test_bad_degree_is_infeasible(pipeline, param, degree):
+    a = ComplexMatrix(np.full((3, 3), 0.9 + 0.0j))
+    with pytest.raises(InfeasibleParameters, match="degree must be a nonnegative integer"):
+        pipeline(a, param, 0.1, degree=degree)
+
+
+@pytest.mark.parametrize("pipeline, param", [(approx_log_disc, 0.4), (approx_log_strip, 0.7)])
+def test_integral_degree_beyond_float_is_capped(pipeline, param):
+    a = ComplexMatrix(np.full((3, 3), 0.9 + 0.0j))
+    with pytest.raises(BudgetExceeded, match="exceeds the supported"):
+        pipeline(a, param, 0.1, degree=10**400)
+    assert pipeline(a, param, 0.1, degree=3.0, force=True).degree_used == 3
+
+
+@pytest.mark.parametrize(
+    "value",
+    [ComplexMatrix(np.full((3, 3), 0.9)), ComplexTensor(np.full((2, 2, 2), 0.95))],
+    ids=["matrix", "tensor"],
+)
+@pytest.mark.parametrize("param", [10**400, -(10**400)])
+def test_strip_parameter_beyond_float_is_infeasible(value, param):
+    with pytest.raises(InfeasibleParameters, match="is not a float"):
+        approx_log_strip(value, param, 0.1)
+
+
+def _strip_parameters_200_steps(s, d):
+    """_strip_parameters as it was before it stopped early: 200 bisection
+    steps, the last ~150 of them on adjacent floats."""
+    lo = s * (1.0 + 1e-14)
+    hi = eta_d_strip(d) * (1.0 - 1e-14)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (mid / s - 1.0) < tau_bound(mid, d) / s:
+            lo = mid
+        else:
+            hi = mid
+    e = 0.5 * (lo + hi)
+    return min(min(e / s - 1.0, tau_bound(e, d) / s) / 2.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_strip_parameters_stop_early_bit_for_bit(d):
+    cap = eta_d_strip(d)
+    grid = [1e-9, 1e-3, *np.linspace(0.0, cap, 41)[1:-1], cap - 1e-6]
+    grid += [cap - k * 1e-13 for k in (10, 5, 2, 1)]
+    for s in grid:
+        assert _strip_parameters(s, d) == _strip_parameters_200_steps(s, d), s
+    # no room between s and the cap: still refused
+    with pytest.raises(InfeasibleParameters):
+        _strip_parameters(cap * (1.0 - 1e-15), d)
+
+
+class TestApproxReport:
+    REPORT = dict(
+        log_value=1.5 + 0.25j,
+        degree_used=7,
+        error_bound=1e-3,
+        pipeline="strip",
+        beta_used=1.25,
+        deg_g=40,
+        g0=6.0 + 0.0j,
+        elapsed_s=0.5,
+        rho=0.3,
+        phi_degree=10,
+        path="strip-roots",
+    )
+
+    def test_slots_and_frozen(self):
+        rep = ApproxReport(**self.REPORT)
+        assert not hasattr(rep, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.degree_used = 8
+
+    def test_to_dict(self):
+        assert ApproxReport(**self.REPORT).to_dict() == {
+            "log_value": [1.5, 0.25],
+            "degree_used": 7,
+            "error_bound": 1e-3,
+            "pipeline": "strip",
+            "beta_used": 1.25,
+            "deg_g": 40,
+            "g0": [6.0, 0.0],
+            "elapsed_s": 0.5,
+            "rho": 0.3,
+            "phi_degree": 10,
+            "path": "strip-roots",
+        }
+        disc = {k: v for k, v in self.REPORT.items() if k not in ("rho", "phi_degree", "path")}
+        out = ApproxReport(**{**disc, "error_bound": None}).to_dict()
+        assert out["error_bound"] is None
+        assert set(out) == {"log_value", "degree_used", "error_bound", "pipeline",
+                            "beta_used", "deg_g", "g0", "elapsed_s"}
 
 
 class TestStripPipeline:

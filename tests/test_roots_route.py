@@ -15,9 +15,13 @@ from permlog import (
     permanent_exact,
 )
 from permlog.interpolation import (
+    _UNIT_ROUNDOFF,
     _certified_roots,
     _compose_phi,
+    _gauss_legendre,
+    _phi_quadrature,
     _strip_roots_sum,
+    _taylor_shift,
     g_taylor_coefficients,
 )
 from permlog.series import series_log_prefix_sum
@@ -44,17 +48,126 @@ def _symmetric(rng, two_n, low):
     return SymmetricComplexMatrix((raw + raw.T) / 2.0)
 
 
+def _full_contour_sum(rhat, phi, m):
+    """_strip_roots_sum without the conjugate symmetry: the whole circle
+    (64 nodes) and both sides of the cut, at the first radius only."""
+    roots, radius = _certified_roots(rhat)
+    sigma = phi.sigma
+    log_alpha = math.log(phi.alpha)
+    w = sigma * roots
+    re_w = w.real - sigma * radius
+    free = np.abs(w.imag) - sigma * radius > math.pi
+    inner = (m + 1) * float(np.max(-np.log1p(-np.exp(-re_w[~free])), initial=0.0))
+    r = min(max(1.0, math.e**2 * inner), -(m + 1) * log_alpha / math.e**2)
+
+    def log_sum(v):
+        return np.log1p(v[:, None] / w[None, :]).sum(axis=1)
+
+    def weight(s, decay):
+        u = s / (m + 1)
+        return np.exp((m + 1) * log_alpha - decay * (m / (m + 1))) / (
+            -(np.expm1(u) + (1.0 - phi.alpha)) * (m + 1)
+        )
+
+    x, wx = _gauss_legendre()
+    theta = 0.5 * math.pi * np.concatenate((x + 1.0, x + 3.0))
+    theta_w = 0.5 * math.pi * np.concatenate((wx, wx))
+    nodes, weights = _phi_quadrature()
+
+    def hankel(r):
+        s = r * np.exp(1j * theta)
+        v = np.log(-np.expm1(s / (m + 1)))
+        loop = -np.sum(theta_w * log_sum(v) * weight(s, s) * s) / (2.0 * math.pi)
+        s = r + nodes * ((m + 1) / m)
+        v = np.log(np.expm1(s / (m + 1))).astype(np.complex128)
+        jump = log_sum(v - 1j * math.pi) - log_sum(v + 1j * math.pi)
+        rays = np.sum(weights * jump * weight(s, r)) * ((m + 1) / m) / (2j * math.pi)
+        return loop + rays
+
+    at_one = -math.log1p(-phi.alpha) / sigma
+    r_at_one = float(np.polynomial.polynomial.polyval(at_one, rhat))
+    return math.log(abs(r_at_one)) + float(hankel(r).real)
+
+
+def _newton_by_shift(c):
+    """The polished start points as three Newton steps on the first two rows
+    of the running-error Taylor shift give them."""
+    c = c[: np.flatnonzero(c)[-1] + 1]
+    x = np.roots(c[::-1]).astype(np.complex128)
+    for _ in range(3):
+        b, _ = _taylor_shift(c, x, 2)
+        x = x - b[0] / b[1]
+    return x
+
+
+def _random_real_polys(rng, count):
+    for _ in range(count):
+        deg = int(rng.integers(2, 9))
+        yield np.concatenate(([1.0], rng.uniform(-1.0, 1.0, deg)))
+
+
+_MATCHES_FFT_CASES = [
+    (lambda rng: ComplexMatrix(rng.uniform(0.5, 1.0, (6, 6))), 0.5),
+    (lambda rng: ComplexMatrix(rng.uniform(0.5, 1.0, (8, 8))), 0.5),
+    (lambda rng: _symmetric(rng, 8, 0.5), 0.5),
+    (lambda rng: ComplexTensor(rng.uniform(0.75, 1.0, (3, 3, 3))), 0.25),
+]
+_MATCHES_FFT_IDS = ["per6", "per8", "haf8", "tensor-e0.25"]
+
+
+def _far_pair(phi):
+    # |Im sigma zeta| > pi: ln(1 - Phi/zeta) has no singularity off the cut
+    roots = np.array([-0.5 + 4.0j / phi.sigma, -0.5 - 4.0j / phi.sigma])
+    return np.real(np.poly(roots)[::-1] / np.prod(-roots))
+
+
+class TestConjugateSymmetry:
+    def test_roots_of_real_polynomials_come_in_exact_pairs(self):
+        rng = np.random.default_rng(86)
+        certified = 0
+        for c in _random_real_polys(rng, 400):
+            got = _certified_roots(c)
+            if got is None:
+                continue
+            certified += 1
+            roots, radius = got
+            order = np.lexsort((roots.imag, roots.real))
+            mirror = np.lexsort((-roots.imag, roots.real))
+            assert np.array_equal(roots[order], np.conj(roots[mirror]))
+            assert np.array_equal(radius[order], radius[mirror])
+        assert certified >= 300
+
+    def test_newton_by_horner_matches_taylor_shift_steps(self):
+        rng = np.random.default_rng(87)
+        polys = list(_random_real_polys(rng, 200))
+        # complex coefficients take the same steps
+        want = np.array([1.5 + 0.5j, -2.0 + 1.0j, 3.0j])
+        polys.append(np.poly(want)[::-1] / np.prod(-want))
+        for c in polys:
+            got = _certified_roots(c)
+            if got is not None:
+                assert np.array_equal(got[0], _newton_by_shift(c))
+
+    @pytest.mark.parametrize("make, param", _MATCHES_FFT_CASES, ids=_MATCHES_FFT_IDS)
+    def test_half_contour_matches_full_contour(self, make, param):
+        value = make(np.random.default_rng(81))
+        rep = approx_log_strip(value, param, 0.1)
+        phi = build_phi(rep.rho)
+        chat = g_taylor_coefficients(value, _kind_n(value)).real
+        half, why = _strip_roots_sum(chat, phi, rep.degree_used)
+        assert why is None
+        assert abs(half - _full_contour_sum(chat, phi, rep.degree_used)) <= 1e-15
+
+    def test_half_contour_matches_full_contour_far_pair(self):
+        phi = build_phi(0.3)
+        far = _far_pair(phi)
+        half, why = _strip_roots_sum(far, phi, 300)
+        assert why is None
+        assert abs(half - _full_contour_sum(far, phi, 300)) <= 1e-15
+
+
 class TestStripRootsRoute:
-    @pytest.mark.parametrize(
-        "make, param",
-        [
-            (lambda rng: ComplexMatrix(rng.uniform(0.5, 1.0, (6, 6))), 0.5),
-            (lambda rng: ComplexMatrix(rng.uniform(0.5, 1.0, (8, 8))), 0.5),
-            (lambda rng: _symmetric(rng, 8, 0.5), 0.5),
-            (lambda rng: ComplexTensor(rng.uniform(0.75, 1.0, (3, 3, 3))), 0.25),
-        ],
-        ids=["per6", "per8", "haf8", "tensor-e0.25"],
-    )
+    @pytest.mark.parametrize("make, param", _MATCHES_FFT_CASES, ids=_MATCHES_FFT_IDS)
     def test_matches_fft_route(self, make, param):
         # m is about 6e5 for the matrix kinds and 61101 for the tensor
         rep, roots_sum, fft_sum = _both_routes(make(np.random.default_rng(81)), param)
@@ -108,8 +221,7 @@ class TestStripRootsRoute:
 
         # a negative root puts z* far out on the negative axis, outside the loop
         assert _strip_roots_sum(rhat(np.array([-2.0, 8.0])), phi, 300) == (None, "z* outside the loop")
-        # |Im sigma zeta| > pi: ln(1 - Phi/zeta) has no singularity off the cut
-        far = rhat(np.array([-0.5 + 4.0j / phi.sigma, -0.5 - 4.0j / phi.sigma]))
+        far = _far_pair(phi)
         total, why = _strip_roots_sum(far, phi, 300)
         assert why is None
         assert total == pytest.approx(series_log_prefix_sum(_compose_phi(far, phi, 300), 300), abs=1e-13)
