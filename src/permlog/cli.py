@@ -262,7 +262,7 @@ def cmd_approx(args):
         )
     approx = _run_approx(value, args)
     results = {"approx": approx.to_dict()}
-    exit_code = EXIT_OK
+    failure = None
     if args.verify:
         try:
             exact = _exact_value(value)
@@ -282,7 +282,7 @@ def cmd_approx(args):
                     "certified": ok,
                 }
                 if not ok:
-                    exit_code = EXIT_CERTIFICATE
+                    failure = f"realized error {realized:.3g} exceeds the bound {certified:.3g}"
     report = {
         "command": "approx",
         "instance_digest": instance_digest(value),
@@ -291,7 +291,10 @@ def cmd_approx(args):
         "elapsed_s": time.perf_counter() - t0,
     }
     _emit(report, args.format)
-    return exit_code
+    if failure:
+        sys.stderr.write(f"error: {failure}\n")
+        return EXIT_CERTIFICATE
+    return EXIT_OK
 
 
 def cmd_check_region(args):
@@ -360,7 +363,6 @@ def cmd_benchmark(args):
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     rows = []
-    worst = EXIT_OK
     defaults = dict(eta=None, delta=None, budget=DEFAULT_BUDGET, degree=None, force=False)
     for name, value, kw in _benchmark_cases(args.suite, rng):
         row_t0 = time.perf_counter()
@@ -368,8 +370,6 @@ def cmd_benchmark(args):
         exact = _exact_value(value)
         realized = abs(rep.log_value - _principal_log(exact))
         ok = realized <= rep.error_bound
-        if not ok:
-            worst = EXIT_CERTIFICATE
         rows.append(
             {
                 "case": name,
@@ -391,7 +391,11 @@ def cmd_benchmark(args):
         "elapsed_s": time.perf_counter() - t0,
     }
     _emit(report, args.format)
-    return worst
+    failed = [row["case"] for row in rows if not row["certified"]]
+    if failed:
+        sys.stderr.write(f"error: realized error above the bound in {', '.join(failed)}\n")
+        return EXIT_CERTIFICATE
+    return EXIT_OK
 
 
 def cmd_phi_table(args):

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -242,12 +242,12 @@ def _expansion_polynomial(row_blocks):
     return UnivariatePolynomial(acc.value)
 
 
-def g_full_expansion_permanent(mat, limit=10):
+def g_full_expansion_permanent(mat):
     """All n+1 coefficients of g(z) = per(J + z(A - J)) by enumerating the n!
     permutations and expanding the linear factors. n <= 10."""
     if not isinstance(mat, ComplexMatrix):
         raise ShapeMismatch("g_full_expansion_permanent: expected ComplexMatrix")
-    n = mat.n
+    n, limit = mat.n, 10
     if n > limit:
         raise SizeLimitExceeded(f"g_full_expansion_permanent: n={n} exceeds limit {limit}")
     b = mat.array - 1.0
@@ -281,12 +281,12 @@ def _perfect_matchings(two_n):
     return out
 
 
-def g_full_expansion_hafnian(mat, limit=12):
+def g_full_expansion_hafnian(mat):
     """All n+1 coefficients of g(z) = haf(J + z(A - J)) over the (2n-1)!!
     perfect matchings. 2n <= 12."""
     if not isinstance(mat, SymmetricComplexMatrix):
         raise ShapeMismatch("g_full_expansion_hafnian: expected SymmetricComplexMatrix")
-    two_n = mat.two_n
+    two_n, limit = mat.two_n, 12
     if two_n > limit:
         raise SizeLimitExceeded(f"g_full_expansion_hafnian: 2n={two_n} exceeds limit {limit}")
     b = mat.array - 1.0
@@ -299,13 +299,13 @@ def g_full_expansion_hafnian(mat, limit=12):
     return UnivariatePolynomial(totals)
 
 
-def g_full_expansion_tensor(ten, limit=10**5):
+def g_full_expansion_tensor(ten):
     """All n+1 coefficients of g(z) = PER(J + z(A - J)) over the (n!)^(d-1)
     permutation tuples."""
     if not isinstance(ten, ComplexTensor):
         raise ShapeMismatch("g_full_expansion_tensor: expected ComplexTensor")
     d, n = ten.d, ten.n
-    count = math.factorial(n) ** (d - 1)
+    count, limit = math.factorial(n) ** (d - 1), 10**5
     if count > limit:
         raise SizeLimitExceeded(
             f"g_full_expansion_tensor: (n!)^(d-1) = {count} exceeds limit {limit}"
@@ -702,10 +702,6 @@ class PhiPolynomial:
             raise RhoOutOfRange(f"PhiPolynomial: rho={rho} must lie in (0, 1]")
         rho = float(rho)
         exponent = 1.0 + 1.0 / rho
-        if exponent > 700.0:
-            raise BudgetExceeded(
-                f"PhiPolynomial: N(rho) = exp({exponent:.1f})-scale is not materializable"
-            )
         alpha = -math.expm1(-1.0 / rho)
         beta = -math.expm1(-exponent) / alpha
         # beta = 1 + O(e^(-1/rho)) rounds to 1 once e^(-1/rho) nears the
@@ -807,6 +803,16 @@ class ApproxReport:
         if self.path is not None:
             out["path"] = self.path
         return out
+
+
+def _refuse_change(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}: ApproxReport is frozen")
+
+
+# slots=True rebuilds the class, and on CPython 3.11 the __setattr__ and
+# __delattr__ generated for the frozen class still name the class it replaced,
+# so a name that is not a field raised TypeError from super()
+ApproxReport.__setattr__ = ApproxReport.__delattr__ = _refuse_change
 
 
 def _complex_or_inf(count):
@@ -989,11 +995,6 @@ def _strip_parameters(s, d):
     return min(min(xi, zeta) / 2.0, 1.0)
 
 
-# block length of the final alpha^j pass, which is an outer product of
-# alpha^(B q) and alpha^r so that only ~m/B + B exponentials are taken
-_ALPHA_BLOCK = 1024
-
-
 def _compose_phi(rhat, phi, m):
     """Coefficients 0..m of r(phi(z)), r(x) = sum_k rhat_k x^k real, in
     O(deg r * m) work and no FFT.
@@ -1007,15 +1008,12 @@ def _compose_phi(rhat, phi, m):
     last pass multiplies alpha^j back.
     """
     deg = rhat.size - 1
-    block = _ALPHA_BLOCK
-    rows = m // block + 1
     # v slides one slot down per Horner step, so every step works in place
-    buf = np.zeros(max(rows * block, m + 1 + deg), dtype=np.float64)
+    buf = np.zeros(m + 1 + deg, dtype=np.float64)
     buf[deg] = rhat[deg]
+    # j = 0..m: divisors j + 1 in the Horner steps, then exponents of alpha^j
+    idx = np.arange(m + 1, dtype=np.float64)
     if deg:
-        inv = np.arange(1, m + 1, dtype=np.float64)
-        inv *= phi.sigma
-        np.reciprocal(inv, out=inv)
         big_n = phi.N
         for k in range(deg, 0, -1):
             # v = buf[k : k + m + 1] becomes buf[k - 1 : k + m]
@@ -1023,15 +1021,12 @@ def _compose_phi(rhat, phi, m):
             np.cumsum(cs, out=cs)
             if big_n < m:
                 cs[big_n:] -= cs[:-big_n].copy()
-            cs *= inv
-            if k > 1:
-                cs *= k
+            cs /= idx[1:]
+            cs *= k / phi.sigma
             buf[k - 1] = rhat[k - 1]
-        del inv
-    log_alpha = math.log(phi.alpha)
-    grid = buf[: rows * block].reshape(rows, block)
-    grid *= np.exp(np.arange(rows, dtype=np.float64) * (block * log_alpha))[:, None]
-    grid *= np.exp(np.arange(block, dtype=np.float64) * log_alpha)
+    idx *= math.log(phi.alpha)
+    np.exp(idx, out=idx)
+    buf[: m + 1] *= idx
     return buf[: m + 1]
 
 

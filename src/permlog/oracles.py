@@ -28,15 +28,15 @@ __all__ = [
 ]
 
 
-def permanent_exact(mat, limit=14):
+def permanent_exact(mat):
     """Permanent by Ryser's inclusion-exclusion with Gray-code column sets.
 
     O(n * 2^n); the summation order is the Gray-code order, fixed for
-    bit-reproducibility. Default size limit n <= 14.
+    bit-reproducibility. Size limit n <= 14.
     """
     if not isinstance(mat, ComplexMatrix):
         raise ShapeMismatch("permanent_exact: expected ComplexMatrix")
-    n = mat.n
+    n, limit = mat.n, 14
     if n > limit:
         raise SizeLimitExceeded(f"permanent_exact: n={n} exceeds limit {limit}")
     cols = [mat.array[:, j].tolist() for j in range(n)]
@@ -62,7 +62,7 @@ def permanent_exact(mat, limit=14):
     return value if n % 2 == 0 else -value
 
 
-def permanent_naive(mat, limit=8):
+def permanent_naive(mat):
     """Permanent by direct permutation-sum enumeration.
 
     Reference path only (O(n! n)); agrees with permanent_exact and is kept
@@ -70,7 +70,7 @@ def permanent_naive(mat, limit=8):
     """
     if not isinstance(mat, ComplexMatrix):
         raise ShapeMismatch("permanent_naive: expected ComplexMatrix")
-    n = mat.n
+    n, limit = mat.n, 8
     if n > limit:
         raise SizeLimitExceeded(f"permanent_naive: n={n} exceeds limit {limit}")
     rows = mat.array.tolist()
@@ -83,15 +83,15 @@ def permanent_naive(mat, limit=8):
     return acc.value
 
 
-def hafnian_exact(mat, limit=16):
+def hafnian_exact(mat):
     """Hafnian via the first-row pairing recursion with bitmask memoization.
 
     haf A = sum_j a_{1j} haf A_j over partners j of the first remaining
-    vertex. Diagonal entries are never read. Default size limit 2n <= 16.
+    vertex. Diagonal entries are never read. Size limit 2n <= 16.
     """
     if not isinstance(mat, SymmetricComplexMatrix):
         raise ShapeMismatch("hafnian_exact: expected SymmetricComplexMatrix")
-    two_n = mat.two_n
+    two_n, limit = mat.two_n, 16
     if two_n > limit:
         raise SizeLimitExceeded(f"hafnian_exact: 2n={two_n} exceeds limit {limit}")
     a = mat.array.tolist()
@@ -116,16 +116,16 @@ def hafnian_exact(mat, limit=16):
     return haf((1 << two_n) - 1)
 
 
-def tensor_permanent_exact(ten, limit=10**7):
+def tensor_permanent_exact(ten):
     """PER by direct enumeration over (d-1)-tuples of permutations.
 
     The final permutation axis is evaluated vectorized in chunks; outer
-    axes are walked in lexicographic order. Requires (n!)^(d-1) <= limit.
+    axes are walked in lexicographic order. Requires (n!)^(d-1) <= 10^7.
     """
     if not isinstance(ten, ComplexTensor):
         raise ShapeMismatch("tensor_permanent_exact: expected ComplexTensor")
     d, n = ten.d, ten.n
-    n_fact = math.factorial(n)
+    n_fact, limit = math.factorial(n), 10**7
     if n_fact ** (d - 1) > limit:
         raise SizeLimitExceeded(
             f"tensor_permanent_exact: (n!)^(d-1) = {n_fact ** (d - 1)} exceeds limit {limit}"
@@ -160,11 +160,11 @@ class MatchingPolynomialCoeffs:
         return acc
 
 
-def matching_polynomial(graph, limit=10**7):
+def matching_polynomial(graph):
     """All W_k for a weighted hypergraph, by depth-first enumeration.
 
     Edges are taken in lexicographic order; each matching is visited exactly
-    once (extend-by-later-edge traversal). Raises when more than `limit`
+    once (extend-by-later-edge traversal). Raises when more than 10^7
     matchings would be enumerated.
     """
     if not isinstance(graph, WeightedHypergraph):
@@ -180,7 +180,7 @@ def matching_polynomial(graph, limit=10**7):
     max_k = graph.vertex_count // graph.d
     coeffs = [0j] * (max_k + 1)
     coeffs[0] = 1 + 0j
-    count = 0
+    count, limit = 0, 10**7
 
     def rec(start, used, w, k):
         nonlocal count
@@ -203,7 +203,7 @@ def matching_polynomial(graph, limit=10**7):
     return MatchingPolynomialCoeffs(tuple(coeffs[: last + 1]))
 
 
-def deviation_hypergraph(value, max_edges=10000):
+def deviation_hypergraph(value):
     """Complete d-partite weighted hypergraph with edge weights a - 1.
 
     Vertices are grouped axis-major: axis t contributes vertices
@@ -217,6 +217,7 @@ def deviation_hypergraph(value, max_edges=10000):
     else:
         raise ShapeMismatch("deviation_hypergraph: expected ComplexMatrix or ComplexTensor")
     d, n = ten.d, ten.n
+    max_edges = 10000
     if n**d > max_edges:
         raise SizeLimitExceeded(f"deviation_hypergraph: n^d = {n**d} exceeds {max_edges}")
     edges = []

@@ -86,7 +86,8 @@ def _multiplier(r, size):
 
 
 def series_reciprocal(c, out_len):
-    """First out_len coefficients of 1/c, requiring c[0] != 0.
+    """First out_len coefficients of 1/c, requiring c[0] != 0; an empty
+    array for out_len 0.
 
     Newton doubling r -> r(2 - cr) on a schedule planned from the top:
     out_len, ceil(out_len/2), ... down to the <= 256-term direct base case,
@@ -108,8 +109,10 @@ def series_reciprocal(c, out_len):
     while base > 256:
         targets.append(base)
         base = (base + 1) // 2
+    # the direct recurrence keeps each term's error relative to that term;
+    # Newton from fewer terms does not where 1/c grows before it decays
     r = np.empty(base, dtype=np.float64)
-    r[0] = 1.0 / c[0]
+    r[:1] = 1.0 / c[:1]  # no term when out_len is 0
     for k in range(1, base):
         jmax = min(k, c.size - 1)
         s = np.dot(c[1 : jmax + 1], r[k - jmax : k][::-1]) if jmax >= 1 else 0.0

@@ -1,5 +1,6 @@
 """Command-line interface: instance files, subcommands, exit codes."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -86,6 +87,28 @@ class TestInstanceFiles:
         p = tmp_path / "bad_n.json"
         p.write_text(json.dumps({"kind": "matrix", "n": 3, "entries": [[1, 2], [3, 4]]}))
         assert main(["exact", str(p)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"kind": "matrix"}, "needs 'kind' and 'entries'"),
+            ({"entries": [[1.0]]}, "needs 'kind' and 'entries'"),
+            ({"kind": "graph", "entries": [[1.0]]}, "unknown kind 'graph'"),
+            ({"kind": "symmetric", "two_n": 4, "entries": [[0, 1], [1, 0]]}, "two_n=4"),
+            ({"kind": "tensor", "entries": [[1.0, 0.5], [0.5, 1.0]]}, "integer 'd' >= 2"),
+            ({"kind": "tensor", "d": 1, "entries": [1.0]}, "integer 'd' >= 2"),
+            ({"kind": "tensor", "d": 2.0, "entries": [[1.0, 0.5], [0.5, 1.0]]}, "integer 'd' >= 2"),
+            ({"kind": "tensor", "d": 2, "n": 3, "entries": [[1.0, 0.5], [0.5, 1.0]]}, "n=3"),
+        ],
+    )
+    def test_refusals_exit_with_one_error_line(self, capsys, tmp_path, data, message):
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(data))
+        assert main(["exact", str(p)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
 
 class TestInstanceEntries:
@@ -310,6 +333,34 @@ class TestApproxCommand:
         assert verify["certified"] is True
         assert verify["realized_error"] <= 1e-3
 
+    def test_verify_fails_outside_the_bound(self, capsys, monkeypatch, matrix_file):
+        real = cli.approx_log_disc
+
+        def off_by_one(*a, **kw):
+            rep = real(*a, **kw)
+            return dataclasses.replace(rep, log_value=rep.log_value + 1.0)
+
+        monkeypatch.setattr(cli, "approx_log_disc", off_by_one)
+        path, _ = matrix_file
+        code = main(["approx", str(path), "--method", "disc", "--eta", "0.3", "--verify"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CERTIFICATE
+        verify = json.loads(captured.out)["results"]["verify"]
+        assert verify["certified"] is False
+        assert verify["realized_error"] == pytest.approx(1.0)
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_verify_skipped_when_exact_value_is_zero(self, capsys, tmp_path):
+        # per [[1, 1], [1, -1]] = 0; --force, since g has a zero at z = 1
+        p = tmp_path / "zero.json"
+        save_instance(ComplexMatrix(np.array([[1.0, 1.0], [1.0, -1.0]])), p)
+        code = main(["approx", str(p), "--method", "disc", "--eta", "0.3", "--force", "--verify"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        verify = json.loads(captured.out)["results"]["verify"]
+        assert verify == {"skipped": True, "reason": "exact value is zero"}
+        assert "error:" not in captured.err
+
     def test_verify_skipped_when_oracle_cannot_run(self, capsys, tmp_path):
         # n = 15 is approximable at this m but beyond the exact oracle
         rng = np.random.default_rng(63)
@@ -416,6 +467,20 @@ class TestBenchmarkCommand:
         for r in rows:
             assert r["certified"] is True
             assert r["realized_error"] <= r["error_bound"]
+
+    def test_exits_4_when_a_row_is_outside_its_bound(self, capsys, monkeypatch):
+        real = cli.approx_log_strip
+
+        def off_by_one(*a, **kw):
+            rep = real(*a, **kw)
+            return dataclasses.replace(rep, log_value=rep.log_value + 1.0)
+
+        monkeypatch.setattr(cli, "approx_log_strip", off_by_one)
+        assert main(["benchmark", "--suite", "small"]) == EXIT_CERTIFICATE
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)["results"]
+        assert [r["case"] for r in rows if not r["certified"]] == ["strip-per-n4"]
+        assert captured.err == "error: realized error above the bound in strip-per-n4\n"
 
     def test_epsilon_ladder_monotone(self, capsys):
         assert main(["benchmark", "--suite", "small"]) == EXIT_OK

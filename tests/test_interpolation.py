@@ -285,7 +285,8 @@ class TestPhiPolynomial:
                 build_phi(rho)
 
     def test_tiny_rho_not_materializable(self):
-        with pytest.raises(BudgetExceeded):
+        # beta rounds to 1 below rho ~ 1/37, and alpha too well before 1/699
+        with pytest.raises(BudgetExceeded, match="beta rounds to 1"):
             build_phi(0.001)
 
 
@@ -523,6 +524,12 @@ class TestApproxReport:
         assert not hasattr(rep, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.degree_used = 8
+        # a name that is not a field, and deletion, are refused the same way
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rep.path
+        assert not hasattr(rep, "extra") and rep.path == "strip-roots"
 
     def test_to_dict(self):
         assert ApproxReport(**self.REPORT).to_dict() == {

@@ -67,6 +67,13 @@ class TestSeriesMul:
         assert np.allclose(series_mul(a, b, 2), [4.0, 13.0])
 
 
+def _root_cluster():
+    c = np.array([1.0])
+    for rho in (1.1, 1.15, 1.2, 1.25, 1.3):
+        c = np.convolve(c, np.array([1.0, -1.0 / rho]))
+    return c
+
+
 class TestSeriesReciprocal:
     def test_geometric_series(self):
         # 1/(1 - z/2) has coefficients 2^-k exactly
@@ -87,7 +94,9 @@ class TestSeriesReciprocal:
         want[0] = 1.0
         assert np.abs(prod - want).max() < 1e-12
 
-    @pytest.mark.parametrize("out_len", [1, 2, 255, 256, 257, 513, 1000, 1024, 1025, 1026, 4097])
+    @pytest.mark.parametrize(
+        "out_len", [1, 2, 255, 256, 257, 373, 513, 1000, 1024, 1025, 1026, 4097]
+    )
     def test_matches_direct_recurrence(self, out_len):
         # around the 256-term base case, odd Newton targets and the first
         # stage that shares one transform of r between its two products
@@ -101,7 +110,15 @@ class TestSeriesReciprocal:
             short = np.convolve(short, np.array([1.0, -1.0 / rho]))
         tail = 1e-5 * rng.standard_normal(out_len + 7) * 0.9 ** np.arange(out_len + 7)
         long = np.concatenate((short, tail))
-        for c in (short, long):
+        inputs = [short, long]
+        if out_len <= 373:
+            # roots clustered in [1.1, 1.3]: 1/c grows to 334 at k = 22, then
+            # decays, and Newton stages started from fewer terms than the
+            # base case lose accuracy by about that growth. One stage (out_len
+            # 373) stays inside the bound; by out_len 2000 the error is 3e-12
+            # of the largest term
+            inputs.append(_root_cluster())
+        for c in inputs:
             want = np.zeros(out_len)
             want[0] = 1.0 / c[0]
             for k in range(1, out_len):
@@ -123,6 +140,10 @@ class TestSeriesReciprocal:
     def test_zero_constant_rejected(self):
         with pytest.raises(ZeroBaseValue):
             series_reciprocal(np.array([0.0, 1.0]), 4)
+
+    def test_no_terms_asked(self):
+        r = series_reciprocal(np.array([2.0, 1.0]), 0)
+        assert r.shape == (0,) and r.dtype == np.float64
 
 
 class TestSeriesLog:
@@ -199,6 +220,10 @@ class TestSeriesLog:
             long = np.concatenate((c, tail))
             direct = series_log_coeffs_direct(long, m).sum()
             assert series_log_prefix_sum(long, m) == pytest.approx(direct, abs=1e-12)
+        # 1/c growing before it decays (see test_matches_direct_recurrence)
+        cluster = _root_cluster()
+        direct = series_log_coeffs_direct(cluster, 373).sum()
+        assert series_log_prefix_sum(cluster, 373) == pytest.approx(direct, abs=1e-12)
 
     def test_prefix_sum_zero_constant_rejected(self):
         with pytest.raises(ZeroBaseValue):
