@@ -322,41 +322,49 @@ def g_full_expansion_tensor(ten):
 # ---------------------------------------------------------------------------
 # truncated inclusion-exclusion: c_k = g_k / g_0 for k <= m in n^O(m) work
 
-# complex elements per block of the prefix walk and per merged batch: the
-# walk holds one block per level, so memory stays at a few blocks whatever
-# the number of subsets
-_ENGINE_CHUNK = 1 << 14
+# bytes per block of the prefix walk, each set's state and the temporaries
+# that form it counted, and bytes of states per merged batch: memory stays
+# at a few blocks whatever the number of subsets, and real inputs, run in
+# float64, fit about twice the sets of complex ones in a block
+_ENGINE_CHUNK = 1 << 19
 
 
-def _prefix_walk(n, top, root, extend, rows):
+def _prefix_walk(n, top, root, extend, set_bytes):
     """Depth-first walk over the subsets of range(n) of sizes 1..top, in
-    blocks of at most rows[s] sets of one size s.
+    blocks of one size s, each as many sets as fit _ENGINE_CHUNK bytes at
+    set_bytes[s] (a set's state and extend's temporaries) plus 24 per set
+    (the walk's parents, v and one transient).
 
     An s-set is its (s-1)-prefix plus one index v above the prefix's
     largest, so its state is extend(states, parents, v, s): the states of a
     parent block (root for the empty set) gathered by `parents`, extended by
-    v. Yields (s, states) blocks, each before its children.
+    v. Children are ordered by v, then parent, so a block is sorted by
+    largest index. Yields (s, states) blocks, each before its children.
     """
+    rows = [max(1, _ENGINE_CHUNK // (size + 24)) for size in set_bytes]
+    vertices = np.arange(n)
 
     def grow(s, states, last):
-        counts = n - 1 - last
-        starts = np.cumsum(counts) - counts
-        parents = np.repeat(np.arange(counts.size), counts)
-        # each parent's children take v = last + 1, ..., n - 1
-        v = np.arange(parents.size) + np.repeat(last + 1 - starts, counts)
-        step = rows[s + 1]
-        for lo in range(0, v.size, step):
-            child = extend(states, parents[lo : lo + step], v[lo : lo + step], s + 1)
+        # `last` is sorted, so the children taking v extend its first count[v]
+        # sets: children ends[v-1] <= j < ends[v] extend set j - starts[v]
+        count = last.searchsorted(vertices)
+        ends = count.cumsum()
+        starts = ends - count
+        for lo in range(0, ends[-1], rows[s + 1]):
+            size = np.maximum(np.minimum(ends, lo + rows[s + 1]) - np.maximum(starts, lo), 0)
+            v = vertices.repeat(size)
+            parents = np.arange(lo, lo + v.size) - starts.repeat(size)
+            child = extend(states, parents, v, s + 1)
             yield s + 1, child
             if s + 1 < top:
-                yield from grow(s + 1, child, v[lo : lo + step])
+                yield from grow(s + 1, child, v)
 
     yield from grow(0, root, np.array([-1]))
 
 
 def _merged(blocks, weights, w):
     """The (s, states) blocks of a walk, states of shape (sets, C, ...),
-    merged into (states, weights) batches of about _ENGINE_CHUNK elements:
+    merged into (states, weights) batches of about _ENGINE_CHUNK bytes:
     states of shape (sets * C, ...), and w[s] * weights[c] for each row."""
 
     def merge(batch):
@@ -368,7 +376,7 @@ def _merged(blocks, weights, w):
     batch, size = [], 0
     for block in blocks:
         batch.append(block)
-        size += block[1].size
+        size += block[1].nbytes
         if size >= _ENGINE_CHUNK:
             yield merge(batch)
             batch, size = [], 0
@@ -379,7 +387,7 @@ def _merged(blocks, weights, w):
 def _elementary_symmetric(r, m):
     """e_0..e_m of each column of r (n, N): the coefficients of
     prod_i (1 + z r[i]) up to z^m, shape (m + 1, N)."""
-    e = np.zeros((m + 1, r.shape[1]), dtype=np.complex128)
+    e = np.zeros((m + 1, r.shape[1]), dtype=r.dtype)
     e[0] = 1.0
     if m == 1:
         # the pass would add each row to e_1 alone
@@ -422,12 +430,13 @@ def _tensor_terms(b, weights, m, w, acc):
     slabs = b.transpose((2, 0, 1) + tuple(range(3, b.ndim)))
 
     def extend(states, parents, v, s):
-        child = states[parents]
+        child = states.take(parents, axis=0)
         child += slabs[v]
         return child
 
-    root = np.zeros((1,) + slabs.shape[1:], dtype=np.complex128)
-    blocks = _prefix_walk(n, m, root, extend, [max(1, _ENGINE_CHUNK // slabs[0].size)] * (m + 1))
+    root = np.zeros((1,) + slabs.shape[1:], dtype=b.dtype)
+    # a set's slab, and the slab of b gathered to extend it
+    blocks = _prefix_walk(n, m, root, extend, [2 * slabs[0].nbytes] * (m + 1))
     for states, rows in _merged(blocks, weights, w):
         if b.ndim > 3:
             _tensor_terms(states, rows, m, w, acc)
@@ -480,17 +489,18 @@ def _hafnian_coefficients(b, m):
             return child_e, None
         if s == top - 1:
             return child_e, (r, parents, v)
-        child_r = r[parents]
-        child_r += b[v]
+        child_r = r.take(parents, axis=0)
+        child_r += b.take(v, axis=0)
         return child_e, child_r
 
-    root = (np.zeros(1, dtype=np.complex128), np.zeros((1, two_n), dtype=np.complex128))
+    root = (np.zeros(1, dtype=b.dtype), np.zeros((1, two_n), dtype=b.dtype))
     acc = KahanSum()
-    sums = np.zeros(m + 1, dtype=np.complex128)
-    # sets per block: a parent block's children, up to two_n per set, fill
-    # one block; the deepest sets carry a scalar each
-    rows = [max(1, _ENGINE_CHUNK // two_n)] * top + [_ENGINE_CHUNK]
-    for s, (e, _) in _prefix_walk(two_n, top, root, extend, rows):
+    sums = np.zeros(m + 1, dtype=b.dtype)
+    # bytes per set: e, R, b's row added to R, e's increment and its index;
+    # the two deepest levels carry e alone, with one increment, and with two
+    # and the powers of e
+    set_bytes = [(2 * two_n + 2) * b.itemsize + 8] * (top - 1) + [2 * b.itemsize + 8, 4 * b.itemsize + 24]
+    for s, (e, _) in _prefix_walk(two_n, top, root, extend, set_bytes):
         if s < 2:
             continue
         power = e
@@ -526,7 +536,9 @@ def g_taylor_coefficients(value, m, budget=DEFAULT_BUDGET):
     s-set is its (s-1)-prefix plus one larger index v, so r(T + {v}) =
     r(T) + b[:, v] and e(S + {v}) = e(S) + R_S[v] cost one vector add per
     set, not s. All sizes of a block share one elementary-symmetric pass,
-    and blocks of about _ENGINE_CHUNK complex numbers bound the memory.
+    and blocks of _ENGINE_CHUNK bytes, states and temporaries together,
+    bound the memory. Real inputs run in float64 and complex ones in
+    complex128; the result is complex128 either way.
 
     W_k is the k-matching weight of the deviation hypergraph. `budget` caps
     the operation count, checked before any work: C(n, <=m) n m (per),
@@ -547,13 +559,16 @@ def g_taylor_coefficients(value, m, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(f"g_taylor_coefficients: {ops} operations over budget {budget}")
     if m == 0:
         return np.ones(1, dtype=np.complex128)
-    b = value.array - 1.0
+    # real inputs run in float64: the same arithmetic on half the bytes
+    b = value.array
+    b = (b if b.imag.any() else b.real) - 1.0
     if isinstance(value, SymmetricComplexMatrix):
         out = _hafnian_coefficients(b, m)
     else:
         acc = KahanSum()
         _tensor_terms(b[None], np.ones((1, m + 1)), m, _ryser_weights(n, m), acc)
         out = acc.value
+    out = out.astype(np.complex128)
     out[0] = 1.0
     return out
 
@@ -607,8 +622,10 @@ def taylor_error_bound(deg_g, beta, m):
 def choose_degree(deg_g, beta, epsilon, limit=MAX_DEGREE):
     """Smallest m with taylor_error_bound(deg_g, beta, m) <= epsilon.
 
-    The bound is monotone decreasing in m, so this bisects [0, limit] on
-    taylor_error_bound itself, which also decides exact ties.
+    In t = ln(m + 1) the bound is epsilon where a e^t + t = c, a = ln beta,
+    c = ln(deg_g / ((beta - 1) epsilon)) + a: convex and increasing, so
+    Newton from above falls monotonically onto the root. m then steps on
+    taylor_error_bound itself, which decides exact ties.
     """
     if not epsilon > 0:
         raise ValueError(f"choose_degree: epsilon must be > 0, got {epsilon}")
@@ -618,15 +635,22 @@ def choose_degree(deg_g, beta, epsilon, limit=MAX_DEGREE):
         return 0
     if taylor_error_bound(deg_g, beta, limit) > epsilon:
         raise BudgetExceeded(f"choose_degree: certified degree exceeds {limit}")
-    # the bound exceeds epsilon at lo (or lo = -1) and holds at hi
-    lo, hi = -1, limit
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if taylor_error_bound(deg_g, beta, mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a = math.log(beta)
+    c = math.log(deg_g) - math.log(beta - 1.0) - math.log(epsilon) + a
+    m = 0
+    if c > a:
+        # at the root each term of a e^t + t alone is at most c
+        t, step = min(c, math.log(c / a)), math.inf
+        while step > 1e-12 * max(1.0, t):
+            grow = a * math.exp(t)
+            step = (grow + t - c) / (grow + 1.0)
+            t -= step
+        m = min(math.ceil(math.exp(t)) - 1, limit)
+    while taylor_error_bound(deg_g, beta, m) > epsilon:
+        m += 1
+    while m > 0 and taylor_error_bound(deg_g, beta, m - 1) <= epsilon:
+        m -= 1
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The truncated inclusion-exclusion engine `g_taylor_coefficients`.
 
 It is checked against the tuple-sum route `g_derivatives_*` on complex
-inputs, against exact rational arithmetic over the definition of g (a sum
-over permutations or perfect matchings, independent of both float routes),
-and for its budget guard.
+and real inputs, against exact rational arithmetic over the definition of
+g (a sum over permutations or perfect matchings, independent of both float
+routes), for its float64 route on real inputs against complex128, for its
+budget guard and for its memory.
 """
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ from permlog import (
     g_derivatives_tensor,
     g_taylor_coefficients,
 )
+from permlog.series import KahanSum
 
 
 def _normalized(g_derivs):
@@ -39,6 +42,10 @@ def _assert_close(got, want, rel=1e-12):
 
 def _complex_disc(rng, shape, radius):
     return 1.0 + radius * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+
+
+def _real_disc(rng, shape, radius):
+    return 1.0 + radius * rng.uniform(-1, 1, shape)
 
 
 class TestAgreesWithTupleSums:
@@ -74,28 +81,34 @@ class TestAgreesWithTupleSums:
 
 
 class TestBlockBoundaries:
-    """With a tiny block size every level of the prefix walk splits, and
-    the merged batches mix sizes; the coefficients must not move."""
+    """With a tiny byte budget every level of the prefix walk splits, down
+    to one set per block, and at 1000 bytes the merged batches mix sizes;
+    the coefficients must not move, on complex and on real inputs."""
 
     CASES = [
         ("per", 7, range(6)),
         ("haf", 12, range(4)),
         ("tensor3", 5, range(4)),
         ("tensor4", 4, range(3)),
+        ("per-real", 7, range(6)),
+        ("haf-real", 12, range(4)),
+        ("tensor3-real", 5, range(4)),
     ]
 
     @staticmethod
     def _value(kind, n, rng):
+        kind, _, real = kind.partition("-")
+        entries = _real_disc if real else _complex_disc
         if kind == "per":
-            return ComplexMatrix(_complex_disc(rng, (n, n), 0.4)), g_derivatives_permanent
+            return ComplexMatrix(entries(rng, (n, n), 0.4)), g_derivatives_permanent
         if kind == "haf":
-            raw = _complex_disc(rng, (n, n), 0.3)
+            raw = entries(rng, (n, n), 0.3)
             return SymmetricComplexMatrix((raw + raw.T) / 2.0), g_derivatives_hafnian
         d = int(kind[-1])
-        return ComplexTensor(_complex_disc(rng, (n,) * d, 0.3)), g_derivatives_tensor
+        return ComplexTensor(entries(rng, (n,) * d, 0.3)), g_derivatives_tensor
 
     @pytest.mark.parametrize("kind, n, degrees", CASES, ids=[c[0] for c in CASES])
-    @pytest.mark.parametrize("chunk", [1, 40])
+    @pytest.mark.parametrize("chunk", [1, 40, 1000])
     def test_tiny_blocks_agree(self, monkeypatch, kind, n, degrees, chunk):
         value, tuple_sums = self._value(kind, n, np.random.default_rng(120 + n))
         default = [g_taylor_coefficients(value, m) for m in degrees]
@@ -104,6 +117,89 @@ class TestBlockBoundaries:
             got = g_taylor_coefficients(value, m)
             _assert_close(got, want)
             _assert_close(got, _normalized(tuple_sums(value, m)))
+
+
+class TestRealRoute:
+    """Real inputs run the engine in float64; complex ones in complex128."""
+
+    @staticmethod
+    def _values(rng):
+        raw = _real_disc(rng, (8, 8), 0.3)
+        return [
+            ComplexMatrix(_real_disc(rng, (7, 7), 0.4)),
+            SymmetricComplexMatrix((raw + raw.T) / 2.0),
+            ComplexTensor(_real_disc(rng, (4, 4, 4), 0.3)),
+        ]
+
+    def test_real_inputs_return_complex128(self):
+        for value in self._values(np.random.default_rng(130)):
+            for m in range(1, 4):
+                got = g_taylor_coefficients(value, m)
+                assert got.dtype == np.complex128
+                assert not got.imag.any()
+
+    def test_float64_agrees_with_complex128(self):
+        rng = np.random.default_rng(131)
+        per, haf, ten = self._values(rng)
+        for m in range(1, 4):
+            w = permlog.interpolation._ryser_weights(4, m)
+            b = ten.array.real - 1.0
+            by_dtype = []
+            for arr in (b, b.astype(complex)):
+                acc = KahanSum()
+                permlog.interpolation._tensor_terms(arr[None], np.ones((1, m + 1)), m, w, acc)
+                by_dtype.append(acc.value)
+            assert by_dtype[0].dtype == np.float64
+            _assert_close(by_dtype[0].astype(complex), by_dtype[1])
+            b = haf.array.real - 1.0
+            real = permlog.interpolation._hafnian_coefficients(b, m)
+            assert real.dtype == np.float64
+            _assert_close(real.astype(complex), permlog.interpolation._hafnian_coefficients(b.astype(complex), m))
+
+    def test_complex_route_commutes_with_conjugation(self):
+        rng = np.random.default_rng(132)
+        raw = _complex_disc(rng, (8, 8), 0.3)
+        for value in (
+            ComplexMatrix(_complex_disc(rng, (7, 7), 0.4)),
+            SymmetricComplexMatrix((raw + raw.T) / 2.0),
+            ComplexTensor(_complex_disc(rng, (4, 4, 4), 0.3)),
+        ):
+            conj = type(value)(np.conj(value.array))
+            for m in range(1, 4):
+                want = np.conj(g_taylor_coefficients(value, m))
+                assert np.array_equal(g_taylor_coefficients(conj, m), want)
+
+
+class TestMemory:
+    """tracemalloc peak of one engine call on the shapes of the
+    disc-truncated benchmark, at most the peak of complex128 blocks of 2^14
+    elements (the engine before it sized blocks by bytes) on an x86-64
+    Linux host with numpy 2.4."""
+
+    CASES = [
+        ("haf-2n20-m3", 20, 3, 1289),
+        ("per-n40-m2", 40, 2, 1084),
+        ("per-n180-m1", 180, 1, 1549),
+        ("tensor-n6-m3", 6, 3, 746),
+    ]
+
+    @pytest.mark.parametrize("kind, n, m, peak_kb", CASES, ids=[c[0] for c in CASES])
+    def test_peak_at_most_complex_blocks(self, kind, n, m, peak_kb):
+        rng = np.random.default_rng(140)
+        if kind.startswith("haf"):
+            u = rng.uniform(0.96, 1.04, n)
+            value = SymmetricComplexMatrix(np.outer(u, u))
+        elif kind.startswith("per"):
+            value = ComplexMatrix(rng.uniform(0.9, 1.0, (n, n)))
+        else:
+            value = ComplexTensor(rng.uniform(0.94, 1.0, (n, n, n)))
+        tracemalloc.start()
+        try:
+            g_taylor_coefficients(value, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_kb * 1024
 
 
 def _exact_normalized(term_weights, m):

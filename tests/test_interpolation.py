@@ -224,6 +224,34 @@ class TestDegreeSelection:
         with pytest.raises(BudgetExceeded):
             choose_degree(10, 1.0001, 1e-6, limit=100)
 
+    def test_choose_degree_matches_bisection(self):
+        # the bisection over [0, limit] that choose_degree replaced, kept as
+        # its reference
+        def bisect(deg_g, beta, eps, limit=permlog.interpolation.MAX_DEGREE):
+            if taylor_error_bound(deg_g, beta, limit) > eps:
+                raise BudgetExceeded("past limit")
+            lo, hi = -1, limit
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if taylor_error_bound(deg_g, beta, mid) <= eps:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        degs = sorted({int(round(x)) for x in np.geomspace(1, 1e9, 19)})
+        betas = np.geomspace(1.0001, 10.0, 17).tolist() + [2.0, 5.0]
+        epss = np.geomspace(0.5, 1e-12, 15).tolist() + [1e-1, 1e-2, 1e-3]
+        for deg_g in degs:
+            for beta in betas:
+                for eps in epss:
+                    assert choose_degree(deg_g, beta, eps) == bisect(deg_g, beta, eps), (deg_g, beta, eps)
+        assert choose_degree(20, 5.0, 1e-2) == 4
+        want = bisect(10**6, 1.0001, 1e-6)
+        assert choose_degree(10**6, 1.0001, 1e-6, limit=want) == want
+        with pytest.raises(BudgetExceeded):
+            choose_degree(10**6, 1.0001, 1e-6, limit=want - 1)
+
 
 class TestPhiPolynomial:
     def test_rho_one_constants(self):
