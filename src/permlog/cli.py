@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ComplexMatrix, ComplexTensor, SymmetricComplexMatrix
 from .errors import BudgetExceeded, PermlogError, RegionViolation
-from .interpolation import DEFAULT_BUDGET, approx_log_disc, approx_log_strip, build_phi
+from .interpolation import approx_log_disc, approx_log_strip, build_phi
 from .oracles import hafnian_exact, permanent_exact, tensor_permanent_exact
 from .regions import RegionKind, RegionSpec, check_region
 
@@ -231,7 +231,6 @@ def _run_approx(value, args):
             eta=args.eta,
             epsilon=args.epsilon,
             l1=args.method == "l1",
-            budget=args.budget,
             degree=args.degree,
             force=args.force,
         )
@@ -243,14 +242,7 @@ def _run_approx(value, args):
         if args.delta is None:
             raise ValueError("--method strip on matrix kinds needs --delta")
         param = args.delta
-    return approx_log_strip(
-        value,
-        param,
-        epsilon=args.epsilon,
-        budget=args.budget,
-        degree=args.degree,
-        force=args.force,
-    )
+    return approx_log_strip(value, param, epsilon=args.epsilon, degree=args.degree, force=args.force)
 
 
 def cmd_approx(args):
@@ -363,7 +355,7 @@ def cmd_benchmark(args):
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     rows = []
-    defaults = dict(eta=None, delta=None, budget=DEFAULT_BUDGET, degree=None, force=False)
+    defaults = dict(eta=None, delta=None, degree=None, force=False)
     for name, value, kw in _benchmark_cases(args.suite, rng):
         row_t0 = time.perf_counter()
         rep = _run_approx(value, argparse.Namespace(**{**defaults, **kw}))
@@ -452,7 +444,6 @@ def _build_parser():
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--force", action="store_true")
     add_format(p)
@@ -481,8 +472,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a region violation
+        return EXIT_INPUT if exc.code else EXIT_OK
     if args.subcommand == "phi-table" and args.rho is None:
         args.rho = [0.1, 0.25, 0.5, 1.0]
     try:

@@ -25,7 +25,6 @@ from .core import (
 from .errors import (
     BetaNotGreaterThanOne,
     BudgetExceeded,
-    EtaTooLarge,
     InfeasibleParameters,
     RegionViolation,
     RhoOutOfRange,
@@ -791,10 +790,9 @@ class ApproxReport:
     the region check was forcibly skipped. rho and phi_degree are None for
     disc pipelines. path names the route that summed the log series: "disc",
     "strip-roots", or "strip-fft (<reason>)" with the reason the roots route
-    was not taken: "N < m", "m < n" (the coefficients stop short of degree n),
-    "root guard", "z* outside the loop" or "quadrature error". A strip op at
-    degree 0 sums no series and returns ln g(0); its path is
-    "strip (degree 0)".
+    was not taken: "N < m", "root guard", "z* outside the loop" or
+    "quadrature error". A strip op at degree 0 sums no series and returns
+    ln g(0); its path is "strip (degree 0)".
     """
 
     log_value: complex
@@ -881,14 +879,14 @@ def _classify(value):
     return _KindInfo(shape, d, n, math.log(count), _complex_or_inf(count), tuple_fn, full_fn)
 
 
-def _taylor_prefix_coeffs(value, info, mm, budget):
+def _taylor_prefix_coeffs(value, info, mm):
     """Normalized Taylor coefficients c_k = g^(k)(0)/(k! g(0)) for k <= mm:
     the inclusion-exclusion engine below full degree (mm < n), otherwise the
     tuple-sum path with automatic full-expansion fallback."""
     if mm < info.n:
-        return g_taylor_coefficients(value, mm, budget)
+        return g_taylor_coefficients(value, mm)
     try:
-        derivs = info.tuple_fn(value, mm, budget)
+        derivs = info.tuple_fn(value, mm)
     except BudgetExceeded:
         try:
             poly = info.full_fn(value)
@@ -933,7 +931,28 @@ def _certified_degree(where, deg_g, beta, epsilon, degree, force):
     return m, bound
 
 
-def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree=None, force=False):
+def _check_domain(where, value, info, family, eta, tau=None, force=False):
+    """The RegionKind of `family` ("disc", "l1" or "strip") for the input's
+    kind. Its RegionSpec validates eta and tau; unless force, check_region
+    must then place the input inside, or RegionViolation carries the
+    MembershipReport."""
+    try:
+        kind = RegionKind(f"{family}-{info.shape}")
+    except ValueError:
+        raise ShapeMismatch(f"{where}: no {family} region for {info.shape} inputs") from None
+    spec = RegionSpec(kind=kind, eta=eta, tau=tau, d=info.d)
+    if not force:
+        membership = check_region(value, spec)
+        if not membership.inside:
+            raise RegionViolation(
+                f"{where}: input outside {kind.value} at index "
+                f"{membership.worst_index} (margin {membership.margin:.6g})",
+                report=membership,
+            )
+    return kind
+
+
+def approx_log_disc(value, eta, epsilon, l1=False, degree=None, force=False):
     """Certified approximation of ln per/haf/PER for inputs inside a disc
     (entrywise |1-a| <= eta) or line-sum (l1=True) region.
 
@@ -950,31 +969,11 @@ def approx_log_disc(value, eta, epsilon, l1=False, budget=DEFAULT_BUDGET, degree
         raise InfeasibleParameters(f"approx_log_disc: need 0 < epsilon < 1, got {epsilon}")
     if not eta > 0.0:
         raise InfeasibleParameters(f"approx_log_disc: need eta > 0, got {eta}")
-    if l1:
-        if info.shape == "per":
-            kind = RegionKind.L1_PER
-        elif info.shape == "tensor":
-            kind = RegionKind.L1_TENSOR
-        else:
-            raise ShapeMismatch("approx_log_disc: no line-sum region for hafnian inputs")
-    else:
-        kind = {
-            "per": RegionKind.DISC_PER,
-            "haf": RegionKind.DISC_HAF,
-            "tensor": RegionKind.DISC_TENSOR,
-        }[info.shape]
-    spec = RegionSpec(kind=kind, eta=eta, d=info.d if info.shape == "tensor" else 2)
-    membership = check_region(value, spec)
-    if not membership.inside and not force:
-        raise RegionViolation(
-            f"approx_log_disc: input outside {kind.value} at index "
-            f"{membership.worst_index} (margin {membership.margin:.6g})",
-            report=membership,
-        )
+    kind = _check_domain("approx_log_disc", value, info, "l1" if l1 else "disc", eta, force=force)
     beta = region_eta_max(kind, info.d) / eta
     m, bound = _certified_degree("approx_log_disc", info.n, beta, epsilon, degree, force)
     try:
-        chat = _taylor_prefix_coeffs(value, info, min(m, info.n), budget)
+        chat = _taylor_prefix_coeffs(value, info, min(m, info.n))
         total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
     except MemoryError as exc:
         raise BudgetExceeded(f"approx_log_disc: degree {m} ran out of memory") from exc
@@ -998,6 +997,15 @@ def _strip_parameters(s, d):
     s < e < eta_max, so their crossing maximizes rho = min(xi, zeta)/2,
     the widest usable parameter for the disc-to-strip map. Returns that
     rho, capped at 1.
+
+    Why it certifies every real input with |1 - a| <= s: phi maps the disc
+    |z| <= beta into -rho <= Re w <= 1 + 2 rho, |Im w| <= 2 rho, and
+    g(phi(z)) takes each entry a to 1 + w (a - 1). With a real, that entry
+    has |1 - Re| = |Re w| |a - 1| <= (1 + 2 rho) s <= (1 + xi) s = e and
+    |Im| = |Im w| |a - 1| <= 2 rho s <= zeta s = tau_bound(e, d), so it lies
+    in the zero-free strip at e, and g(phi(z)) has no root on the disc.
+    Nothing in this uses a <= 1: matrix kinds (s = 1 - delta) take entries
+    in [delta, 2 - delta], tensors (s = eta) in [1 - eta, 1 + eta].
     """
     cap = eta_d_strip(d)
     lo = s * (1.0 + 1e-14)
@@ -1233,17 +1241,21 @@ def _require_real(arr, where):
         )
 
 
-def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree=None, force=False):
+def approx_log_strip(value, delta_or_eta, epsilon, degree=None, force=False):
     """Certified approximation of ln per/haf/PER for real inputs bounded only
-    in a strip sense: matrix kinds with entries in [delta, 1] (delta_or_eta =
-    delta), tensors with |1 - a| <= eta (delta_or_eta = eta).
+    in a strip sense: every entry has |1 - a| <= s, with s = 1 - delta for
+    matrix kinds (delta_or_eta = delta, entries in [delta, 2 - delta]) and
+    s = eta for tensors (delta_or_eta = eta). That is check_region's real
+    segment, RegionSpec(STRIP_*, eta=s, tau=0); _strip_parameters says why
+    it certifies.
 
     Builds phi for the balanced rho and takes the normalized coefficients r
     of g up to min(m, n) from the engine. The answer is ln g(0) plus the sum
-    of the first m log-series coefficients of ln r(phi(z)), by one of two
-    routes that differ only in how that sum is computed:
+    of the first m log-series coefficients psi_k of ln r(phi(z)); psi_k
+    reads only r_0..r_k, so r cut at degree m < n gives the same sum. One of
+    two routes, which differ only in how that sum is computed, gives it:
 
-    - strip-roots, when N >= m >= n and the roots of r pass the guard of
+    - strip-roots, when N >= m and the roots of r pass the guard of
       _certified_roots: O(n) closed forms and one contour quadrature
       (_strip_roots_sum), with no array of length m.
     - strip-fft otherwise: r(phi(z)) composed to degree m through phi's own
@@ -1257,39 +1269,21 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     info = _classify(value)
     if not (0.0 < epsilon < 1.0):
         raise InfeasibleParameters(f"approx_log_strip: need 0 < epsilon < 1, got {epsilon}")
-    arr = value.array
-    _require_real(arr, "approx_log_strip")
-    re = arr.real
+    _require_real(value.array, "approx_log_strip")
     try:
-        param = float(delta_or_eta)
+        s = float(delta_or_eta)
     except (TypeError, ValueError, OverflowError) as exc:
         name = "eta" if info.shape == "tensor" else "delta"
         raise InfeasibleParameters(f"approx_log_strip: {name} is not a float: {exc}") from exc
     if info.shape == "tensor":
-        eta = param
-        cap = eta_d_strip(info.d)
-        if not (0.0 <= eta):
-            raise InfeasibleParameters(f"approx_log_strip: eta must be >= 0, got {eta}")
-        if not eta < cap:
-            raise EtaTooLarge(f"approx_log_strip: eta={eta} must be below {cap} for d={info.d}")
-        s = eta
-        bad = np.abs(1.0 - re) > eta
-        domain = f"|1 - a| <= {eta}"
+        if not s >= 0.0:
+            raise InfeasibleParameters(f"approx_log_strip: eta must be >= 0, got {s}")
+    elif 0.0 < s <= 1.0:
+        # delta gives the segment's half-width 1 - delta
+        s = 1.0 - s
     else:
-        delta = param
-        if not (0.0 < delta <= 1.0):
-            raise InfeasibleParameters(
-                f"approx_log_strip: delta must lie in (0, 1], got {delta}"
-            )
-        s = 1.0 - delta
-        bad = (re < delta) | (re > 1.0)
-        domain = f"[{delta}, 1]"
-    if not force and bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), re.shape)
-        raise RegionViolation(
-            f"approx_log_strip: entry {float(re[idx]):.6g} at index "
-            f"{tuple(int(i) + 1 for i in idx)} outside {domain}"
-        )
+        raise InfeasibleParameters(f"approx_log_strip: delta must lie in (0, 1], got {s}")
+    _check_domain("approx_log_strip", value, info, "strip", s, tau=0.0, force=force)
     if s == 0.0:
         rho = 1.0
     else:
@@ -1301,9 +1295,9 @@ def approx_log_strip(value, delta_or_eta, epsilon, budget=DEFAULT_BUDGET, degree
     path = "strip (degree 0)"
     try:
         if m > 0:
-            chat = g_taylor_coefficients(value, min(m, info.n), budget).real
+            chat = g_taylor_coefficients(value, min(m, info.n)).real
             # why the roots route is not taken; None while it may be
-            why = "N < m" if phi.N < m else "m < n" if m < info.n else None
+            why = "N < m" if phi.N < m else None
             part = None
             if why is None:
                 part, why = _strip_roots_sum(chat, phi, m)

@@ -152,13 +152,9 @@ class RegionKind(enum.Enum):
     L1_PER = "l1-per"
     L1_TENSOR = "l1-tensor"
 
-    @property
-    def family(self):
-        return self.value.split("-")[0]
-
-    @property
-    def shape(self):
-        return self.value.split("-")[1]
+    def __init__(self, value):
+        # plain attributes: every RegionSpec and check_region reads them
+        self.family, self.shape = value.split("-")
 
 
 def region_eta_max(kind, d=2):
@@ -183,7 +179,8 @@ class RegionSpec:
     """Parameters identifying one zero-free hypothesis.
 
     eta must be strictly below the kind maximum; strip kinds additionally
-    carry tau, strictly below tau_bound(eta, d).
+    carry tau, 0 <= tau < tau_bound(eta, d). tau = 0 is the real segment
+    |1 - a| <= eta, the domain of the strip pipeline.
     """
 
     kind: RegionKind
@@ -207,9 +204,9 @@ class RegionSpec:
             if self.tau is None:
                 raise ShapeMismatch(f"RegionSpec: {self.kind.value} requires tau")
             cap_tau = tau_bound(self.eta, self.d)
-            if not (0.0 < self.tau < cap_tau):
+            if not (0.0 <= self.tau < cap_tau):
                 raise EtaTooLarge(
-                    f"RegionSpec: tau={self.tau} must lie in (0, {cap_tau}) at eta={self.eta}"
+                    f"RegionSpec: tau={self.tau} must lie in [0, {cap_tau}) at eta={self.eta}"
                 )
         elif self.tau is not None:
             raise ShapeMismatch(f"RegionSpec: tau is only meaningful for strip kinds")
@@ -273,8 +270,8 @@ def check_region(value, spec):
     (eta * n^(d-1) - max line sum) for L1 kinds.
     """
     arr = _region_array(value, spec)
-    dev = np.abs(1.0 - arr)
     if spec.kind.family == "disc":
+        dev = np.abs(1.0 - arr)
         flat = int(np.argmax(dev))
         idx = np.unravel_index(flat, arr.shape)
         margin = spec.eta - float(dev[idx])
@@ -287,15 +284,17 @@ def check_region(value, spec):
             eta=spec.eta,
         )
     if spec.kind.family == "strip":
-        dev_re = np.abs(1.0 - arr.real)
-        dev_im = np.abs(arr.imag)
-        slack_re = spec.eta - float(dev_re.max())
-        slack_im = spec.tau - float(dev_im.max())
+        dev_re = np.abs(1.0 - arr.real).ravel()
+        dev_im = np.abs(arr.imag).ravel()
+        worst_re = int(dev_re.argmax())
+        worst_im = int(dev_im.argmax())
+        slack_re = spec.eta - float(dev_re[worst_re])
+        slack_im = spec.tau - float(dev_im[worst_im])
         if slack_re <= slack_im:
-            idx = np.unravel_index(int(np.argmax(dev_re)), arr.shape)
+            idx = np.unravel_index(worst_re, arr.shape)
             margin = slack_re
         else:
-            idx = np.unravel_index(int(np.argmax(dev_im)), arr.shape)
+            idx = np.unravel_index(worst_im, arr.shape)
             margin = slack_im
         return MembershipReport(
             inside=margin >= 0.0,
@@ -307,6 +306,7 @@ def check_region(value, spec):
             tau=spec.tau,
         )
     # L1 kinds: per-line sums of |1 - a| against eta * n^(d-1)
+    dev = np.abs(1.0 - arr)
     d = arr.ndim
     n = arr.shape[0]
     bound = spec.eta * n ** (d - 1)

@@ -183,6 +183,22 @@ class TestParser:
         assert captured.err == ""
         assert json.loads(captured.out)["results"]["approx"]["error_bound"] is not None
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--eta", "abc"], ["--bogus"], ["--budget", "10"], None],
+        ids=["bad-value", "unknown-flag", "removed-budget", "missing-instance"],
+    )
+    def test_usage_errors_exit_as_bad_input(self, capsys, matrix_file, args):
+        # argparse's own code 2 would read as a region violation
+        path, _ = matrix_file
+        argv = ["approx"] if args is None else ["approx", str(path), *args]
+        assert main(argv) == EXIT_INPUT
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["approx", "--help"]) == EXIT_OK
+        assert "--epsilon" in capsys.readouterr().out
+
 
 class TestExactCommand:
     def test_json_output(self, capsys, matrix_file):
@@ -442,6 +458,14 @@ class TestCheckRegionCommand:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["inside"] is False
         assert res["worst_index"] == [2, 2]
+
+    def test_zero_tau_is_the_real_segment(self, capsys, tmp_path):
+        p = tmp_path / "s.json"
+        save_instance(ComplexMatrix(np.array([[0.75, 1.25], [1.0, 0.9]])), p)
+        argv = ["check-region", str(p), "--region", "strip-per", "--tau", "0"]
+        assert main([*argv, "--eta", "0.25"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"]["tau"] == 0.0
+        assert main([*argv, "--eta", "0.2"]) == EXIT_REGION
 
 
 class TestBenchmarkCommand:

@@ -14,6 +14,7 @@ from permlog import (
     EtaTooLarge,
     InfeasibleParameters,
     PhiPolynomial,
+    RegionKind,
     RegionViolation,
     RhoOutOfRange,
     ShapeMismatch,
@@ -619,19 +620,46 @@ class TestStripPipeline:
             approx_log_strip(a, 0.7, 0.1)
 
     def test_interval_violation_and_force(self):
+        # matrix kinds: |1 - a| <= 1 - delta, here [0.7, 1.3], broken on both sides
         a = np.full((3, 3), 0.8)
         a[0, 0] = 0.5
-        with pytest.raises(RegionViolation, match=r"index \(1, 1\) outside \[0.7, 1\]"):
+        with pytest.raises(RegionViolation, match=r"outside strip-per at index \(1, 1\)") as info:
             approx_log_strip(ComplexMatrix(a), 0.7, 0.1)
+        assert info.value.report.kind is RegionKind.STRIP_PER
+        assert info.value.report.worst_index == (1, 1)
+        assert info.value.report.margin == pytest.approx(-0.2)
         rep = approx_log_strip(ComplexMatrix(a), 0.7, 0.1, force=True)
         assert rep.error_bound is None
+        a[0, 0] = 1.25
+        assert approx_log_strip(ComplexMatrix(a), 0.7, 0.1).error_bound <= 0.1
+        a[2, 1] = 1.35
+        with pytest.raises(RegionViolation, match=r"outside strip-per at index \(3, 2\)"):
+            approx_log_strip(ComplexMatrix(a), 0.7, 0.1)
         # tensors: |1 - a| <= eta, here broken on the high side
         t = np.full((3, 3, 3), 0.95)
         t[1, 2, 0] = 1.2
-        with pytest.raises(RegionViolation, match=r"index \(2, 3, 1\) outside \|1 - a\| <= 0.1"):
+        with pytest.raises(RegionViolation, match=r"outside strip-tensor at index \(2, 3, 1\)") as info:
             approx_log_strip(ComplexTensor(t), 0.1, 0.1)
+        assert info.value.report.eta == 0.1 and info.value.report.tau == 0.0
         rep = approx_log_strip(ComplexTensor(t), 0.1, 0.1, force=True)
         assert rep.error_bound is None
+
+    def test_entries_above_one_certified(self):
+        # the strip domain is |1 - a| <= 1 - delta, so entries reach 2 - delta
+        rng = np.random.default_rng(56)
+        paths = set()
+        for delta, epsilon in ((0.7, 0.1), (0.9, 1e-3), (0.6, 0.1)):
+            for size in (2, 4, 6):
+                raw = rng.uniform(delta, 2.0 - delta, (size, size))
+                for value, exact in (
+                    (ComplexMatrix(raw), permanent_exact),
+                    (SymmetricComplexMatrix((raw + raw.T) / 2), hafnian_exact),
+                ):
+                    rep = approx_log_strip(value, delta, epsilon)
+                    realized = abs(rep.log_value - complex(np.log(exact(value))))
+                    assert realized <= rep.error_bound <= epsilon
+                    paths.add(rep.path)
+        assert {"strip-roots", "strip-fft (z* outside the loop)"} <= paths
 
     def test_delta_validated(self):
         a = ComplexMatrix(np.full((3, 3), 0.8))

@@ -167,6 +167,21 @@ class TestCheckRegion:
         rep = check_region(ComplexMatrix(b), spec)
         assert not rep.inside
 
+    def test_zero_tau_is_the_real_segment(self):
+        # tau = 0: |1 - a| <= eta on the real line, on both sides of 1
+        spec = RegionSpec(kind=RegionKind.STRIP_PER, eta=0.25, tau=0.0)
+        a = np.array([[0.75, 1.25], [1.0, 0.9]])
+        rep = check_region(ComplexMatrix(a), spec)
+        assert rep.inside and rep.tau == 0.0
+        a[1, 0] = 1.375
+        rep = check_region(ComplexMatrix(a), spec)
+        assert not rep.inside and rep.worst_index == (2, 1)
+        assert rep.margin == -0.125
+        rep = check_region(ComplexMatrix(np.full((2, 2), 1.0 + 1e-9j)), spec)
+        assert not rep.inside
+        with pytest.raises(EtaTooLarge):
+            RegionSpec(kind=RegionKind.STRIP_TENSOR, eta=0.1, tau=-1e-9, d=3)
+
     def test_l1_line_sums(self):
         a = np.ones((4, 4))
         a[0, 0] = 0.0  # one line sum of deviation 1 in row 1 and column 1

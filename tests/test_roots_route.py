@@ -211,7 +211,19 @@ class TestStripRootsRoute:
         paths = [approx_log_strip(s, 0.7, 0.1, degree=m, force=True).path for m in (3, 5, 8)]
         assert paths == ["strip-fft (quadrature error)"] * 3
         below_n = approx_log_strip(s, 0.7, 0.1, degree=2, force=True)
-        assert below_n.path == "strip-fft (m < n)"
+        assert below_n.path == "strip-fft (quadrature error)"
+
+    def test_degree_below_n_takes_roots(self):
+        # r cut at degree m < n has the same psi_1..psi_m, so both routes
+        # sum the same series from the truncated coefficients
+        a = ComplexMatrix(np.random.default_rng(87).uniform(0.8, 1.0, (16, 16)))
+        for m in (11, 12, 15):
+            rep = approx_log_strip(a, 0.8, 0.1, degree=m, force=True)
+            phi = build_phi(rep.rho)
+            assert phi.N >= m
+            fft = series_log_prefix_sum(_compose_phi(g_taylor_coefficients(a, m).real, phi, m), m)
+            assert rep.log_value.real == pytest.approx(math.log(math.factorial(16)) + fft, abs=1e-12)
+            assert rep.path == ("strip-fft (z* outside the loop)" if m == 11 else "strip-roots")
 
     def test_root_off_the_cluster_is_refused(self):
         phi = build_phi(0.3)
