@@ -707,20 +707,28 @@ class PhiPolynomial:
 
         alpha = 1 - e^(-1/rho)
         beta  = (1 - e^(-1-1/rho)) / alpha
-        N     = floor((1 + 1/rho) e^(1 + 1/rho))
+        N     = max(floor((1 + 1/rho) e^(1 + 1/rho)), degree)
         sigma = sum_{j=1}^N alpha^j / j
 
     phi(0) = 0, phi(1) = 1, and the disc |z| <= beta maps into the strip
     -rho <= Re <= 1 + 2 rho, |Im| <= 2 rho. Both sigma and phi(z) are the
-    truncated log series -Ln(1 - y) - T_N(y) at y = alpha and y = alpha z,
-    with the tail T_N from _phi_tail, so phi(1) is 1 exactly. Coefficients
-    are generated on demand by coeff_prefix; the full polynomial is never
-    materialized.
+    truncated log series L(y) - T_N(y), L(y) = -Ln(1 - y), at y = alpha and
+    y = alpha z, with the tail T_N from _phi_tail, so phi(1) is 1 exactly.
+    Coefficients are generated on demand by coeff_prefix; the full
+    polynomial is never materialized.
+
+    The paper's lemma gives the strip at its N. A degree above it keeps the
+    strip: as N grows, sigma = 1/rho - T_N(alpha) tends to L(alpha) = 1/rho
+    and phi to rho L(alpha z), which maps |z| <= beta into
+    -rho ln 2 <= Re <= 1 + rho, |Im| <= rho pi/2, strictly inside; the
+    tail bound |T_N(y)| <= |y|^(N+1)/((N+1)(1 - |y|)) only shrinks with N.
+    On |z| = beta, for rho in [0.03, 1] and N up to 10^6 times the paper's,
+    phi stays within -0.70 rho <= Re <= 1 + 1.10 rho, |Im| <= 1.58 rho.
     """
 
     __slots__ = ("rho", "alpha", "beta", "N", "sigma")
 
-    def __init__(self, rho):
+    def __init__(self, rho, degree=0):
         if not (isinstance(rho, (int, float)) and 0.0 < rho <= 1.0):
             raise RhoOutOfRange(f"PhiPolynomial: rho={rho} must lie in (0, 1]")
         rho = float(rho)
@@ -735,7 +743,7 @@ class PhiPolynomial:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        big_n = int(math.floor(exponent * math.exp(exponent)))
+        big_n = max(int(math.floor(exponent * math.exp(exponent))), int(degree))
         object.__setattr__(self, "N", big_n)
         # complex like every y in __call__, so that phi(1) divides sigma by itself
         y = np.array([alpha], dtype=np.complex128)
@@ -788,11 +796,12 @@ class ApproxReport:
     error_bound is deg_g / ((m+1) beta^m (beta-1)) at the recorded deg_g and
     beta_used, and never exceeds the requested epsilon; it is None only when
     the region check was forcibly skipped. rho and phi_degree are None for
-    disc pipelines. path names the route that summed the log series: "disc",
-    "strip-roots", or "strip-fft (<reason>)" with the reason the roots route
-    was not taken: "N < m", "root guard", "z* outside the loop" or
-    "quadrature error". A strip op at degree 0 sums no series and returns
-    ln g(0); its path is "strip (degree 0)".
+    disc pipelines. phi_degree is phi's degree N' = max(N, m), at least the
+    paper's N (which phi-table prints). path names the route that summed the
+    log series: "disc", "strip-roots", or "strip-fft (<reason>)" with the
+    reason the roots route was not taken: "root guard", "z* outside the
+    loop" or "quadrature error". A strip op at degree 0 sums no series and
+    returns ln g(0); its path is "strip (degree 0)".
     """
 
     log_value: complex
@@ -990,6 +999,8 @@ def approx_log_disc(value, eta, epsilon, l1=False, degree=None, force=False):
     )
 
 
+# cached: the value depends only on (s, d), and the bisection costs 54 tau_bound calls
+@functools.lru_cache(maxsize=64)
 def _strip_parameters(s, d):
     """Balance the strip widening xi against the imaginary half-width zeta.
 
@@ -1029,15 +1040,14 @@ def _strip_parameters(s, d):
 
 def _compose_phi(rhat, phi, m):
     """Coefficients 0..m of r(phi(z)), r(x) = sum_k rhat_k x^k real, in
-    O(deg r * m) work and no FFT.
+    O(deg r * m) work and no FFT, for phi of degree N >= m.
 
-    phi' = (alpha/sigma)(1 - (alpha z)^N)/(1 - alpha z), so phi^k = k L[phi^(k-1)]
-    with L f = (alpha/sigma) int_0^z (1 - (alpha t)^N) f(t)/(1 - alpha t) dt,
-    and Horner reads r(phi) = rhat_0 + L[rhat_1 + 2 L[rhat_2 + 3 L[rhat_3 + ...]]].
-    On the scaled coefficients v_j = f_j alpha^(-j), the factor
-    1 - (alpha z)^N is v_j - v_(j-N) (needed only when N < m) and L is a
-    prefix sum times 1/((j+1) sigma). v grows only polynomially in j; one
-    last pass multiplies alpha^j back.
+    Up to z^(m-1), phi' = (alpha/sigma)/(1 - alpha z), so phi^k = k L[phi^(k-1)]
+    with L f = (alpha/sigma) int_0^z f(t)/(1 - alpha t) dt, and Horner reads
+    r(phi) = rhat_0 + L[rhat_1 + 2 L[rhat_2 + 3 L[rhat_3 + ...]]]. On the
+    scaled coefficients v_j = f_j alpha^(-j), L is a prefix sum times
+    1/((j+1) sigma). v grows only polynomially in j; one last pass
+    multiplies alpha^j back.
     """
     deg = rhat.size - 1
     # v slides one slot down per Horner step, so every step works in place
@@ -1045,17 +1055,13 @@ def _compose_phi(rhat, phi, m):
     buf[deg] = rhat[deg]
     # j = 0..m: divisors j + 1 in the Horner steps, then exponents of alpha^j
     idx = np.arange(m + 1, dtype=np.float64)
-    if deg:
-        big_n = phi.N
-        for k in range(deg, 0, -1):
-            # v = buf[k : k + m + 1] becomes buf[k - 1 : k + m]
-            cs = buf[k : k + m]
-            np.cumsum(cs, out=cs)
-            if big_n < m:
-                cs[big_n:] -= cs[:-big_n].copy()
-            cs /= idx[1:]
-            cs *= k / phi.sigma
-            buf[k - 1] = rhat[k - 1]
+    for k in range(deg, 0, -1):
+        # v = buf[k : k + m + 1] becomes buf[k - 1 : k + m]
+        cs = buf[k : k + m]
+        np.cumsum(cs, out=cs)
+        cs /= idx[1:]
+        cs *= k / phi.sigma
+        buf[k - 1] = rhat[k - 1]
     idx *= math.log(phi.alpha)
     np.exp(idx, out=idx)
     buf[: m + 1] *= idx
@@ -1138,7 +1144,7 @@ def _certified_roots(c):
 
 def _strip_roots_sum(rhat, phi, m):
     """sum_{k=1..m} psi_k of ln r(phi(z)) for the real polynomial r with
-    normalized coefficients rhat, through its roots, for N >= m >= deg r;
+    normalized coefficients rhat, through its roots, for phi's N >= m >= deg r;
     None with the reason ("root guard", "z* outside the loop", "quadrature
     error") when this route cannot give it to roundoff.
 
@@ -1255,12 +1261,16 @@ def approx_log_strip(value, delta_or_eta, epsilon, degree=None, force=False):
     reads only r_0..r_k, so r cut at degree m < n gives the same sum. One of
     two routes, which differ only in how that sum is computed, gives it:
 
-    - strip-roots, when N >= m and the roots of r pass the guard of
-      _certified_roots: O(n) closed forms and one contour quadrature
-      (_strip_roots_sum), with no array of length m.
+    - strip-roots, when the roots of r pass the guard of _certified_roots:
+      O(n) closed forms and one contour quadrature (_strip_roots_sum), with
+      no array of length m.
     - strip-fft otherwise: r(phi(z)) composed to degree m through phi's own
       differential equation (_compose_phi) and summed by the FFT series
       engine, in O(m log m) time and O(m) memory.
+
+    Both need phi's degree N' >= m, with m certified for deg_g = N' n: while
+    m > N', N' takes m and m is certified again. m grows only by
+    ln(N'/N)/ln beta, so this settles in a few steps.
 
     The report's path names the route, and for strip-fft the reason. Degree
     0 returns ln g(0) with path "strip (degree 0)".
@@ -1289,18 +1299,21 @@ def approx_log_strip(value, delta_or_eta, epsilon, degree=None, force=False):
     else:
         rho = _strip_parameters(s, info.d)
     phi = build_phi(rho)
+    big_n = phi.N
+    while True:
+        m, bound = _certified_degree("approx_log_strip", big_n * info.n, phi.beta, epsilon, degree, force)
+        if m <= big_n:
+            break
+        big_n = m
+    if big_n > phi.N:
+        phi = PhiPolynomial(rho, big_n)
     deg_g = phi.N * info.n
-    m, bound = _certified_degree("approx_log_strip", deg_g, phi.beta, epsilon, degree, force)
     total = info.log_g0
     path = "strip (degree 0)"
     try:
         if m > 0:
             chat = g_taylor_coefficients(value, min(m, info.n)).real
-            # why the roots route is not taken; None while it may be
-            why = "N < m" if phi.N < m else None
-            part = None
-            if why is None:
-                part, why = _strip_roots_sum(chat, phi, m)
+            part, why = _strip_roots_sum(chat, phi, m)
             if part is None:
                 g_c = _compose_phi(chat, phi, m)
                 part = series_log_prefix_sum(g_c, m)

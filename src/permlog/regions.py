@@ -266,7 +266,8 @@ def check_region(value, spec):
     """Decide closed membership of a matrix/tensor in the region `spec`.
 
     Margins are exact constraint slacks: (eta - max |1-a|) for disc kinds,
-    min(eta - max |1-Re a|, tau - max |Im a|) for strips, and
+    min(eta - max |1-Re a|, tau - max |Im a|) for strips (the first alone
+    for a real input at tau = 0), and
     (eta * n^(d-1) - max line sum) for L1 kinds.
     """
     arr = _region_array(value, spec)
@@ -290,7 +291,7 @@ def check_region(value, spec):
         worst_im = int(dev_im.argmax())
         slack_re = spec.eta - float(dev_re[worst_re])
         slack_im = spec.tau - float(dev_im[worst_im])
-        if slack_re <= slack_im:
+        if slack_re <= slack_im or slack_im == spec.tau == 0.0:
             idx = np.unravel_index(worst_re, arr.shape)
             margin = slack_re
         else:

@@ -273,13 +273,19 @@ class TestPhiPolynomial:
             assert abs(p(1.0) - 1.0) <= 1e-15
 
     def test_disc_maps_into_strip(self):
-        for rho in (0.25, 1.0):
-            p = build_phi(rho)
-            z = p.beta * np.exp(1j * np.linspace(0, 2 * np.pi, 400))
-            w = p(z)
-            assert w.real.min() >= -rho - 1e-9
-            assert w.real.max() <= 1 + 2 * rho + 1e-9
-            assert np.abs(w.imag).max() <= 2 * rho + 1e-9
+        # at the paper's N and at degrees N' above it: as N' grows phi tends to
+        # rho (-ln(1 - alpha z)), whose image of |z| <= beta lies strictly inside
+        for rho in (1.0, 0.5, 0.3, 0.25, 0.1):
+            big_n = build_phi(rho).N
+            for degree in (big_n, 10 * big_n, 1000 * big_n):
+                p = PhiPolynomial(rho, degree)
+                assert p.N == degree and p(1.0) == 1.0
+                w = p(p.beta * np.exp(1j * np.linspace(0, 2 * np.pi, 801)))
+                assert w.real.min() >= -rho
+                assert w.real.max() <= 1 + 2 * rho
+                assert np.abs(w.imag).max() <= 2 * rho
+        # a degree below the paper's N leaves N alone
+        assert PhiPolynomial(0.5, 3).N == build_phi(0.5).N
 
     def test_analytic_path_matches_materialized_coefficients(self):
         for rho in (1.0, 0.5, 0.25, 0.2, 1.0 / 6.0):
@@ -693,7 +699,8 @@ class TestStripPipeline:
 
     def test_small_degrees_match_direct_route(self):
         # the route these degrees took before: exact truncated composition
-        # and the O(m^2) log recurrence. per n=6 at delta 0.7 has N < m
+        # and the O(m^2) log recurrence. per n=6 at delta 0.7 has m above the
+        # paper's N, so phi is built at degree m
         rng = np.random.default_rng(55)
         raw = rng.uniform(0.7, 1.0, (6, 6))
         cases = [
@@ -706,9 +713,10 @@ class TestStripPipeline:
         for value, param, kw in cases:
             rep = approx_log_strip(value, param, 0.1, **kw)
             assert rep.degree_used <= 4096
+            assert rep.phi_degree >= rep.degree_used
             assert rep.log_value.real == pytest.approx(_direct_strip_log(value, rep), abs=1e-13)
             reps.append(rep)
-        assert reps[0].phi_degree < reps[0].degree_used
+        assert reps[0].phi_degree > build_phi(reps[0].rho).N
 
     def test_report_serialization(self):
         rep = approx_log_strip(ComplexMatrix(np.full((3, 3), 0.85)), 0.8, 0.1)
@@ -772,12 +780,12 @@ class TestDiscLogRoute:
 
 def _direct_strip_log(value, rep):
     """ln g(0) + sum_{k<=m} psi_k of ln r(phi(z)) through the exact truncated
-    composition and the O(m^2) log recurrence."""
-    phi = build_phi(rep.rho)
+    composition and the O(m^2) log recurrence, with phi at the report's degree."""
+    phi = PhiPolynomial(rep.rho, rep.phi_degree)
     m = rep.degree_used
     n = value.two_n // 2 if isinstance(value, SymmetricComplexMatrix) else value.n
     chat = g_taylor_coefficients(value, min(m, n))
-    inner = UnivariatePolynomial(phi.coeff_prefix(min(m, phi.N) + 1))
+    inner = UnivariatePolynomial(phi.coeff_prefix(m + 1))
     comp = poly_compose_truncated(UnivariatePolynomial(chat.real), inner, m)
     psi = series_log_coeffs_direct(np.ascontiguousarray(comp.coeffs.real), m)
     return math.log(rep.g0.real) + compensated_total(psi)
@@ -786,12 +794,13 @@ def _direct_strip_log(value, rep):
 class TestComposePhi:
     @pytest.mark.parametrize("rho", [1.0, 0.5, 0.3])
     def test_matches_truncated_composition(self, rho):
-        # m below, at and above N (the factor 1 - (alpha z)^N only acts when
-        # N < m), and r of degree 0..8 with mixed signs
-        phi = build_phi(rho)
+        # m below, at and above the paper's N, with phi built at degree
+        # max(N, m) as _compose_phi requires, and r of degree 0..8 with mixed signs
+        big_n = build_phi(rho).N
         rng = np.random.default_rng(int(rho * 10))
-        for m in (phi.N - 3, phi.N, phi.N + 5, 2 * phi.N + 3):
-            inner = UnivariatePolynomial(phi.coeff_prefix(min(m, phi.N) + 1))
+        for m in (big_n - 3, big_n, big_n + 5, 2 * big_n + 3):
+            phi = PhiPolynomial(rho, m)
+            inner = UnivariatePolynomial(phi.coeff_prefix(m + 1))
             for deg in range(9):
                 rhat = rng.uniform(-1.0, 1.0, deg + 1)
                 got = _compose_phi(rhat, phi, m)

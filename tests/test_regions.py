@@ -179,6 +179,12 @@ class TestCheckRegion:
         assert rep.margin == -0.125
         rep = check_region(ComplexMatrix(np.full((2, 2), 1.0 + 1e-9j)), spec)
         assert not rep.inside
+        # a real input inside reports the real segment's slack, as at tau > 0
+        a = ComplexMatrix(np.array([[1.0, 0.8], [1.0, 0.95]]))
+        for tau in (0.0, 0.1):
+            rep = check_region(a, RegionSpec(kind=RegionKind.STRIP_PER, eta=0.25, tau=tau))
+            assert rep.inside and rep.worst_index == (1, 2) and rep.worst_value == 0.8
+            assert rep.margin == pytest.approx(0.05)
         with pytest.raises(EtaTooLarge):
             RegionSpec(kind=RegionKind.STRIP_TENSOR, eta=0.1, tau=-1e-9, d=3)
 

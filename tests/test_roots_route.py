@@ -1,5 +1,5 @@
-"""The strip roots route: the log sum from the certified roots of g when
-N >= m, and the root guard it rests on."""
+"""The strip roots route: the log sum from the certified roots of g, with
+phi built at degree N' >= m, and the root guard it rests on."""
 
 import math
 
@@ -12,7 +12,9 @@ from permlog import (
     SymmetricComplexMatrix,
     approx_log_strip,
     build_phi,
+    hafnian_exact,
     permanent_exact,
+    tensor_permanent_exact,
 )
 from permlog.interpolation import (
     _UNIT_ROUNDOFF,
@@ -188,11 +190,15 @@ class TestStripRootsRoute:
         assert approx_log_strip(a, 0.7, 0.1).path == "strip-roots"
 
     def test_degree_past_n_takes_fft(self):
-        a = ComplexMatrix(np.random.default_rng(83).uniform(0.7, 1.0, (6, 6)))
-        rep = approx_log_strip(a, 0.7, 0.1)
-        assert rep.phi_degree < rep.degree_used
-        assert rep.path == "strip-fft (N < m)"
-        assert rep.to_dict()["path"] == "strip-fft (N < m)"
+        # m = 60326 is past the paper's N = 55989, so phi is built at degree
+        # m; the triple root sends the op to the FFT route, which composes
+        # that phi
+        a = ComplexMatrix(np.full((3, 3), 0.8))
+        rep = approx_log_strip(a, 0.55, 1e-3)
+        assert rep.path == "strip-fft (root guard)"
+        assert rep.to_dict()["path"] == "strip-fft (root guard)"
+        assert build_phi(rep.rho).N < rep.degree_used <= rep.phi_degree
+        assert abs(rep.log_value - math.log(permanent_exact(a).real)) <= rep.error_bound
 
     @pytest.mark.parametrize("entry, delta", [(0.8, 0.55), (0.9, 0.7), (0.6, 0.5)])
     def test_constant_matrix_fails_guard(self, entry, delta):
@@ -237,6 +243,29 @@ class TestStripRootsRoute:
         total, why = _strip_roots_sum(far, phi, 300)
         assert why is None
         assert total == pytest.approx(series_log_prefix_sum(_compose_phi(far, phi, 300), 300), abs=1e-13)
+
+    def test_paper_regime_takes_roots(self):
+        # entries in [delta, 1], the paper's headline regime: every op takes
+        # the roots route, whatever m is against the paper's N
+        rng = np.random.default_rng(88)
+        for i in range(60):
+            epsilon = (0.1, 1e-3, 1e-6)[i % 3]
+            kind = i // 3 % 3
+            if kind == 0:
+                delta = rng.uniform(0.45, 0.95)
+                value = ComplexMatrix(rng.uniform(delta, 1.0, (int(rng.integers(2, 9)),) * 2))
+                param, exact = delta, permanent_exact
+            elif kind == 1:
+                delta = rng.uniform(0.45, 0.95)
+                value, param, exact = _symmetric(rng, 2 * int(rng.integers(1, 5)), delta), delta, hafnian_exact
+            else:
+                eta = rng.uniform(0.05, 0.25)
+                value = ComplexTensor(rng.uniform(1.0 - eta, 1.0, (int(rng.integers(2, 4)),) * 3))
+                param, exact = eta, tensor_permanent_exact
+            rep = approx_log_strip(value, param, epsilon)
+            assert rep.path == "strip-roots", i
+            assert rep.degree_used <= rep.phi_degree
+            assert abs(rep.log_value - complex(np.log(exact(value)))) <= rep.error_bound <= epsilon
 
     def test_degree_zero_names_no_route(self):
         a = ComplexMatrix(np.random.default_rng(85).uniform(0.7, 1.0, (3, 3)))
