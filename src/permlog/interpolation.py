@@ -76,46 +76,61 @@ MAX_DEGREE = 1 << 26
 
 
 # ---------------------------------------------------------------------------
-# derivative extraction at z = 0 for g(z) = per/haf/PER(J + z(A - J))
+# derivative extraction at z = 0 for g(z) = per/haf/PER(J + z(A - J)); a
+# matrix is the d = 2 tensor, in these reference routes as in the engine
+
+# full expansions stop at 10! terms: per n <= 10, haf 2n <= 16 (15!! terms),
+# PER (n!)^(d-1) <= 10!
+_EXPANSION_TERMS = math.factorial(10)
 
 
-def _ordered_tuples(n, k):
-    """All ordered k-tuples of distinct indices from range(n), lex order."""
-    return np.array(list(itertools.permutations(range(n), k)), dtype=np.intp).reshape(-1, k)
+def _tuple_sums(b, m, where, budget):
+    """(g(0), ..., g^(m)(0)) of PER(J + zB) for the d-axis array b = A - 1.
+
+    g^(k)(0) = ((n-k)!)^(d-1) * sum over d ordered k-tuples t_1, ..., t_d of
+    distinct indices of prod_r b[t_1[r], ..., t_d[r]]. A Python loop runs
+    over the middle axes' tuples (none at d = 2); the first and last axes
+    are summed in row chunks of at most 2^21 products, with one KahanSum
+    across chunks. `budget` caps the k multiplications per k-term product,
+    sum_k k ((n)_k)^d, checked before any work.
+    """
+    d, n = b.ndim, b.shape[0]
+    if m > n or m < 0:
+        raise ValueError(f"{where}: need 0 <= m <= n, got m={m}")
+    ops = sum(k * math.perm(n, k) ** d for k in range(1, m + 1))
+    if ops > budget:
+        raise BudgetExceeded(f"{where}: {ops} operations over budget {budget}")
+    # middle axes first: indexing them by the r-th entries of their tuples
+    # leaves the (first, last) matrix of factor r
+    slabs = np.moveaxis(b, 0, -2)
+    out = np.zeros(m + 1, dtype=np.complex128)
+    out[0] = float(math.factorial(n)) ** (d - 1)
+    for k in range(1, m + 1):
+        # the ordered k-tuples of distinct indices, lex order
+        tuples = np.array(list(itertools.permutations(range(n), k)), dtype=np.intp)
+        t_count = tuples.shape[0]
+        chunk = max(1, (1 << 21) // t_count)
+        acc = KahanSum()
+        for mids in itertools.product(tuples, repeat=d - 2):
+            factors = [slabs[tuple(t[r] for t in mids)] for r in range(k)]
+            for lo in range(0, t_count, chunk):
+                rows = tuples[lo : lo + chunk]
+                prod = np.ones((rows.shape[0], t_count), dtype=np.complex128)
+                for r in range(k):
+                    prod *= factors[r][rows[:, r][:, None], tuples[:, r][None, :]]
+                acc.add(prod.sum())
+        out[k] = float(math.factorial(n - k)) ** (d - 1) * acc.value
+    return out
 
 
 def g_derivatives_permanent(mat, m, budget=DEFAULT_BUDGET):
-    """(g(0), g'(0), ..., g^(m)(0)) for g(z) = per(J + z(A - J)).
-
-    g^(k)(0) = (n-k)! * sum over pairs of ordered distinct k-tuples (I, J)
-    of prod_r (a[I_r, J_r] - 1). Enumeration is lexicographic; chunked
-    partial sums are combined with compensation.
-    """
+    """(g(0), g'(0), ..., g^(m)(0)) for g(z) = per(J + z(A - J)): the d = 2
+    tuple sums, g^(k)(0) = (n-k)! * sum over pairs of ordered distinct
+    k-tuples (I, J) of prod_r (a[I_r, J_r] - 1). `budget` caps the
+    operations, sum_k k ((n)_k)^2."""
     if not isinstance(mat, ComplexMatrix):
         raise ShapeMismatch("g_derivatives_permanent: expected ComplexMatrix")
-    n = mat.n
-    if m > n or m < 0:
-        raise ValueError(f"g_derivatives_permanent: need 0 <= m <= n, got m={m}")
-    if math.perm(n, m) ** 2 > budget:
-        raise BudgetExceeded(
-            f"g_derivatives_permanent: (n!/(n-m)!)^2 = {math.perm(n, m) ** 2} over budget {budget}"
-        )
-    b = mat.array - 1.0
-    out = np.zeros(m + 1, dtype=np.complex128)
-    out[0] = float(math.factorial(n))
-    for k in range(1, m + 1):
-        tuples = _ordered_tuples(n, k)
-        t_count = tuples.shape[0]
-        acc = KahanSum()
-        chunk = max(1, (1 << 21) // t_count)
-        for lo in range(0, t_count, chunk):
-            rows = tuples[lo : lo + chunk]
-            prod = np.ones((rows.shape[0], t_count), dtype=np.complex128)
-            for r in range(k):
-                prod *= b[rows[:, r][:, None], tuples[:, r][None, :]]
-            acc.add(prod.sum())
-        out[k] = float(math.factorial(n - k)) * acc.value
-    return out
+    return _tuple_sums(mat.array - 1.0, m, "g_derivatives_permanent", budget)
 
 
 def _disjoint_pair_collections(two_n, max_k):
@@ -143,6 +158,8 @@ def g_derivatives_hafnian(mat, m, budget=DEFAULT_BUDGET):
 
     g^(k)(0) = k! (2n-2k)! / (2^(n-k) (n-k)!) * sum over collections of k
     disjoint unordered pairs of prod (a_pair - 1). The diagonal never enters.
+    `budget` caps the operations, k multiplications per collection of k
+    pairs: sum_k k C(2n, 2k) (2k-1)!!.
     """
     if not isinstance(mat, SymmetricComplexMatrix):
         raise ShapeMismatch("g_derivatives_hafnian: expected SymmetricComplexMatrix")
@@ -150,13 +167,9 @@ def g_derivatives_hafnian(mat, m, budget=DEFAULT_BUDGET):
     n = two_n // 2
     if m > n or m < 0:
         raise ValueError(f"g_derivatives_hafnian: need 0 <= m <= n, got m={m}")
-    total_collections = sum(
-        math.comb(two_n, 2 * k) * _double_factorial(2 * k - 1) for k in range(1, m + 1)
-    )
-    if total_collections > budget:
-        raise BudgetExceeded(
-            f"g_derivatives_hafnian: {total_collections} pair collections over budget {budget}"
-        )
+    ops = sum(k * math.comb(two_n, 2 * k) * _double_factorial(2 * k - 1) for k in range(1, m + 1))
+    if ops > budget:
+        raise BudgetExceeded(f"g_derivatives_hafnian: {ops} operations over budget {budget}")
     b = (mat.array - 1.0).tolist()
     sums = [KahanSum() for _ in range(m + 1)]
     for chosen in _disjoint_pair_collections(two_n, m):
@@ -184,33 +197,13 @@ def _double_factorial(k):
 
 
 def g_derivatives_tensor(ten, m, budget=DEFAULT_BUDGET):
-    """(g(0), ..., g^(m)(0)) for g(z) = PER(J + z(A - J)), d-dimensional input.
-
-    g^(k)(0) = ((n-k)!)^(d-1) * sum over d positionally-coupled ordered
-    k-tuples of distinct indices of prod_r (a[t_1[r], ..., t_d[r]] - 1).
-    """
+    """(g(0), ..., g^(m)(0)) for g(z) = PER(J + z(A - J)), d-dimensional
+    input: g^(k)(0) = ((n-k)!)^(d-1) * sum over d positionally-coupled
+    ordered k-tuples of distinct indices of prod_r (a[t_1[r], ..., t_d[r]] - 1).
+    `budget` caps the operations, sum_k k ((n)_k)^d."""
     if not isinstance(ten, ComplexTensor):
         raise ShapeMismatch("g_derivatives_tensor: expected ComplexTensor")
-    d, n = ten.d, ten.n
-    if m > n or m < 0:
-        raise ValueError(f"g_derivatives_tensor: need 0 <= m <= n, got m={m}")
-    if math.perm(n, m) ** d > budget:
-        raise BudgetExceeded(
-            f"g_derivatives_tensor: (n!/(n-m)!)^d = {math.perm(n, m) ** d} over budget {budget}"
-        )
-    b = ten.array - 1.0
-    out = np.zeros(m + 1, dtype=np.complex128)
-    out[0] = float(math.factorial(n)) ** (d - 1)
-    for k in range(1, m + 1):
-        tuples = _ordered_tuples(n, k)
-        rng_k = np.arange(k)
-        acc = KahanSum()
-        for mids in itertools.product(range(tuples.shape[0]), repeat=d - 1):
-            sel = tuple(tuples[i] for i in mids) + (slice(None),)
-            sliced = b[sel]
-            acc.add(np.prod(sliced[rng_k[None, :], tuples], axis=1).sum())
-        out[k] = float(math.factorial(n - k)) ** (d - 1) * acc.value
-    return out
+    return _tuple_sums(ten.array - 1.0, m, "g_derivatives_tensor", budget)
 
 
 def _elementary_symmetric_rows(bvals):
@@ -232,39 +225,56 @@ def _chunks(iterable, size):
         yield block
 
 
-def _expansion_polynomial(row_blocks):
+def _expansion_polynomial(where, terms, row_blocks):
     """The polynomial sum over rows b of prod_i (1 + z b_i), from (c, n)
-    row blocks, with the coefficient vectors summed by one KahanSum."""
+    row blocks holding `terms` rows in all, with the coefficient vectors
+    summed by one KahanSum. Raises SizeLimitExceeded past 10! terms."""
+    if terms > _EXPANSION_TERMS:
+        raise SizeLimitExceeded(f"{where}: {terms} terms exceed the limit 10! = {_EXPANSION_TERMS}")
     acc = KahanSum()
     for rows in row_blocks:
         acc.add(_elementary_symmetric_rows(rows).sum(axis=0))
     return UnivariatePolynomial(acc.value)
 
 
+def _permutation_expansion(b, where):
+    """All n+1 coefficients of PER(J + zB) for the d-axis array b = A - 1,
+    over the (n!)^(d-1) tuples of permutations of axes 2..d, the last axis
+    varying fastest, in blocks of 2^14 tuples."""
+    d, n = b.ndim, b.shape[0]
+
+    # a generator, so nothing is built before the size limit is checked
+    def row_blocks():
+        idx = np.arange(n)
+        # product() stores its inputs, so it takes only axes 2..d-1 (none at
+        # d = 2); the last axis's n! permutations stream after each head
+        heads = itertools.product(*(itertools.permutations(range(n)) for _ in range(d - 2)))
+        flat = itertools.chain.from_iterable(
+            map(sum(head, ()).__add__, itertools.permutations(range(n))) for head in heads
+        )
+        for block in _chunks(flat, 1 << 14):
+            perms = np.array(block, dtype=np.intp).reshape(len(block), d - 1, n)
+            yield b[(idx,) + tuple(perms.transpose(1, 0, 2))]
+
+    return _expansion_polynomial(where, math.factorial(n) ** (d - 1), row_blocks())
+
+
 def g_full_expansion_permanent(mat):
     """All n+1 coefficients of g(z) = per(J + z(A - J)) by enumerating the n!
-    permutations and expanding the linear factors. n <= 10."""
+    permutations and expanding the linear factors: the d = 2 expansion,
+    n <= 10."""
     if not isinstance(mat, ComplexMatrix):
         raise ShapeMismatch("g_full_expansion_permanent: expected ComplexMatrix")
-    n, limit = mat.n, 10
-    if n > limit:
-        raise SizeLimitExceeded(f"g_full_expansion_permanent: n={n} exceeds limit {limit}")
-    b = mat.array - 1.0
-    idx = np.arange(n)
-    return _expansion_polynomial(
-        b[idx[None, :], np.array(block, dtype=np.intp)]
-        for block in _chunks(itertools.permutations(range(n)), 1 << 14)
-    )
+    return _permutation_expansion(mat.array - 1.0, "g_full_expansion_permanent")
 
 
 def _perfect_matchings(two_n):
-    """All perfect matchings of indices 0..two_n-1 as pair lists, first-vertex
-    pairing order."""
-    out = []
+    """The perfect matchings of indices 0..two_n-1 as tuples of pairs, one at
+    a time, first-vertex pairing order."""
 
     def rec(mask, chosen):
         if mask == 0:
-            out.append(list(chosen))
+            yield tuple(chosen)
             return
         i = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << i)
@@ -273,49 +283,34 @@ def _perfect_matchings(two_n):
             j = (sub & -sub).bit_length() - 1
             sub &= sub - 1
             chosen.append((i, j))
-            rec(rest & ~(1 << j), chosen)
+            yield from rec(rest & ~(1 << j), chosen)
             chosen.pop()
 
-    rec((1 << two_n) - 1, [])
-    return out
+    return rec((1 << two_n) - 1, [])
 
 
 def g_full_expansion_hafnian(mat):
     """All n+1 coefficients of g(z) = haf(J + z(A - J)) over the (2n-1)!!
-    perfect matchings. 2n <= 12."""
+    perfect matchings, in blocks of 2^14 matchings. 2n <= 16."""
     if not isinstance(mat, SymmetricComplexMatrix):
         raise ShapeMismatch("g_full_expansion_hafnian: expected SymmetricComplexMatrix")
-    two_n, limit = mat.two_n, 12
-    if two_n > limit:
-        raise SizeLimitExceeded(f"g_full_expansion_hafnian: 2n={two_n} exceeds limit {limit}")
     b = mat.array - 1.0
-    rows = np.array(
-        [[b[i, j] for i, j in matching] for matching in _perfect_matchings(two_n)],
-        dtype=np.complex128,
+    return _expansion_polynomial(
+        "g_full_expansion_hafnian",
+        _double_factorial(mat.two_n - 1),
+        (
+            b[tuple(np.array(block, dtype=np.intp).transpose(2, 0, 1))]
+            for block in _chunks(_perfect_matchings(mat.two_n), 1 << 14)
+        ),
     )
-    e = _elementary_symmetric_rows(rows)
-    totals = e.sum(axis=0)
-    return UnivariatePolynomial(totals)
 
 
 def g_full_expansion_tensor(ten):
     """All n+1 coefficients of g(z) = PER(J + z(A - J)) over the (n!)^(d-1)
-    permutation tuples."""
+    permutation tuples, (n!)^(d-1) <= 10!."""
     if not isinstance(ten, ComplexTensor):
         raise ShapeMismatch("g_full_expansion_tensor: expected ComplexTensor")
-    d, n = ten.d, ten.n
-    count, limit = math.factorial(n) ** (d - 1), 10**5
-    if count > limit:
-        raise SizeLimitExceeded(
-            f"g_full_expansion_tensor: (n!)^(d-1) = {count} exceeds limit {limit}"
-        )
-    b = ten.array - 1.0
-    idx = np.arange(n)
-    perms = [np.array(p, dtype=np.intp) for p in itertools.permutations(range(n))]
-    return _expansion_polynomial(
-        np.array([b[(idx,) + combo] for combo in block])
-        for block in _chunks(itertools.product(perms, repeat=d - 1), 4096)
-    )
+    return _permutation_expansion(ten.array - 1.0, "g_full_expansion_tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +886,8 @@ def _classify(value):
 def _taylor_prefix_coeffs(value, info, mm):
     """Normalized Taylor coefficients c_k = g^(k)(0)/(k! g(0)) for k <= mm:
     the inclusion-exclusion engine below full degree (mm < n), otherwise the
-    tuple-sum path with automatic full-expansion fallback."""
+    tuple sums while their operation count fits DEFAULT_BUDGET, then the
+    full expansion up to 10! terms; past both, BudgetExceeded."""
     if mm < info.n:
         return g_taylor_coefficients(value, mm)
     try:

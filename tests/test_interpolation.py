@@ -18,6 +18,7 @@ from permlog import (
     RegionViolation,
     RhoOutOfRange,
     ShapeMismatch,
+    SizeLimitExceeded,
     SymmetricComplexMatrix,
     ZeroBaseValue,
     approx_log_disc,
@@ -113,14 +114,40 @@ class TestGDerivativesHafnian:
         poly = g_full_expansion_hafnian(s)
         assert poly(1.0) == pytest.approx(hafnian_exact(s), rel=1e-12)
 
+    def test_expansion_reaches_2n_14(self):
+        # 13!! = 135135 matchings, within the 10! limit
+        rng = np.random.default_rng(31)
+        raw = rng.standard_normal((14, 14))
+        s = SymmetricComplexMatrix(1.0 + 0.05 * (raw + raw.T))
+        poly = g_full_expansion_hafnian(s)
+        assert poly(1.0) == pytest.approx(hafnian_exact(s), rel=1e-12)
+
 
 class TestGDerivativesTensor:
     def test_d2_matches_permanent_route(self):
+        # a matrix is the d = 2 tensor: the same tuple sums, bit for bit
         rng = np.random.default_rng(19)
-        arr = 1.0 + 0.4 * rng.standard_normal((3, 3))
-        g_mat = g_derivatives_permanent(ComplexMatrix(arr), 3)
-        g_ten = g_derivatives_tensor(ComplexTensor(arr), 3)
-        assert np.allclose(g_mat, g_ten, rtol=1e-12)
+        for n in range(1, 7):
+            arr = 1.0 + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for m in range(n + 1):
+                g_mat = g_derivatives_permanent(ComplexMatrix(arr), m)
+                g_ten = g_derivatives_tensor(ComplexTensor(arr), m)
+                assert np.array_equal(g_mat, g_ten), (n, m)
+
+    def test_d2_full_expansion_matches_permanent_route(self):
+        rng = np.random.default_rng(20)
+        for n in range(1, 9):
+            arr = 1.0 + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            poly_mat = g_full_expansion_permanent(ComplexMatrix(arr))
+            poly_ten = g_full_expansion_tensor(ComplexTensor(arr))
+            assert np.array_equal(poly_mat.coeffs, poly_ten.coeffs), n
+
+    def test_expansion_reaches_d3_n6(self):
+        # (6!)^2 = 518400 permutation pairs, within the 10! limit
+        rng = np.random.default_rng(32)
+        t = ComplexTensor(1.0 + 0.05 * rng.standard_normal((6, 6, 6)))
+        poly = g_full_expansion_tensor(t)
+        assert poly(1.0) == pytest.approx(tensor_permanent_exact(t), rel=1e-12)
 
     def test_matches_full_expansion_d3(self):
         rng = np.random.default_rng(21)
@@ -135,6 +162,56 @@ class TestGDerivativesTensor:
         t = ComplexTensor(1.0 + 0.3 * rng.standard_normal((2, 2, 2, 2)))
         poly = g_full_expansion_tensor(t)
         assert poly(1.0) == pytest.approx(tensor_permanent_exact(t), rel=1e-12)
+
+
+class TestReferenceLimits:
+    @pytest.mark.parametrize(
+        "fn,value,m,ops",
+        [
+            (g_derivatives_permanent, ComplexMatrix(np.ones((5, 5))), 3, sum(k * math.perm(5, k) ** 2 for k in range(4))),
+            (g_derivatives_tensor, ComplexTensor(np.ones((3, 3, 3))), 3, sum(k * math.perm(3, k) ** 3 for k in range(4))),
+            (g_derivatives_tensor, ComplexTensor(np.ones((3, 3, 3, 3))), 2, sum(k * math.perm(3, k) ** 4 for k in range(3))),
+            (
+                g_derivatives_hafnian,
+                SymmetricComplexMatrix(np.ones((8, 8))),
+                3,
+                sum(k * math.comb(8, 2 * k) * df for k, df in ((1, 1), (2, 3), (3, 15))),
+            ),
+        ],
+        ids=["per", "PER-d3", "PER-d4", "haf"],
+    )
+    def test_budget_counts_operations(self, fn, value, m, ops):
+        # k multiplications per k-term product, the engine's unit
+        assert fn(value, m, budget=ops)[0] == fn(value, 0)[0]
+        with pytest.raises(BudgetExceeded, match=f"{ops} operations"):
+            fn(value, m, budget=ops - 1)
+
+    @pytest.mark.parametrize(
+        "fn,value,terms",
+        [
+            (g_full_expansion_permanent, ComplexMatrix(np.ones((11, 11))), math.factorial(11)),
+            (g_full_expansion_hafnian, SymmetricComplexMatrix(np.ones((18, 18))), 34459425),
+            (g_full_expansion_tensor, ComplexTensor(np.ones((7, 7, 7))), math.factorial(7) ** 2),
+            (g_full_expansion_tensor, ComplexTensor(np.ones((40, 40, 40))), math.factorial(40) ** 2),
+        ],
+        ids=["per-n11", "haf-2n18", "PER-d3-n7", "PER-d3-n40"],
+    )
+    def test_expansions_stop_past_10_factorial_terms(self, fn, value, terms):
+        # checked before any enumeration: the 40x40x40 case would never end
+        with pytest.raises(SizeLimitExceeded, match=f"{terms} terms exceed the limit 10!"):
+            fn(value)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # at 24 terms in place of 10!: per n = 4 (4! terms) runs, n = 5 stops
+        monkeypatch.setattr(permlog.interpolation, "_EXPANSION_TERMS", 24)
+        assert g_full_expansion_permanent(ComplexMatrix(np.ones((4, 4)))).coeffs[0] == 24
+        assert g_full_expansion_tensor(ComplexTensor(np.ones((4, 4)))).coeffs[0] == 24
+        with pytest.raises(SizeLimitExceeded):
+            g_full_expansion_permanent(ComplexMatrix(np.ones((5, 5))))
+        # 7!! = 105 > 24 >= 5!! = 15
+        assert g_full_expansion_hafnian(SymmetricComplexMatrix(np.ones((6, 6)))).coeffs[0] == 15
+        with pytest.raises(SizeLimitExceeded):
+            g_full_expansion_hafnian(SymmetricComplexMatrix(np.ones((8, 8))))
 
 
 class TestLogDerivatives:
