@@ -133,33 +133,16 @@ def g_derivatives_permanent(mat, m, budget=DEFAULT_BUDGET):
     return _tuple_sums(mat.array - 1.0, m, "g_derivatives_permanent", budget)
 
 
-def _disjoint_pair_collections(two_n, max_k):
-    """Weights W_k of k disjoint unordered index pairs, as a generator of
-    (k, pair_list) in lexicographic order of the sorted pair lists."""
-    pairs = [(i, j) for i in range(two_n) for j in range(i + 1, two_n)]
-    masks = [(1 << i) | (1 << j) for i, j in pairs]
-
-    def rec(start, used, chosen):
-        for e in range(start, len(pairs)):
-            if masks[e] & used:
-                continue
-            chosen.append(pairs[e])
-            yield chosen
-            if len(chosen) < max_k:
-                yield from rec(e + 1, used | masks[e], chosen)
-            chosen.pop()
-
-    if max_k >= 1:
-        yield from rec(0, 0, [])
-
-
 def g_derivatives_hafnian(mat, m, budget=DEFAULT_BUDGET):
     """(g(0), ..., g^(m)(0)) for g(z) = haf(J + z(A - J)), 2n x 2n input.
 
     g^(k)(0) = k! (2n-2k)! / (2^(n-k) (n-k)!) * sum over collections of k
     disjoint unordered pairs of prod (a_pair - 1). The diagonal never enters.
-    `budget` caps the operations, k multiplications per collection of k
-    pairs: sum_k k C(2n, 2k) (2k-1)!!.
+    Each collection is one of the (2k-1)!! perfect matchings of 2k slots,
+    from `_perfect_matchings` in blocks of 2^14, placed on a 2k-subset of
+    the vertices; the subsets stream in blocks of at most 2^14 subsets and
+    2^21 products, with one KahanSum per k. `budget` caps the operations, k
+    multiplications per collection of k pairs: sum_k k C(2n, 2k) (2k-1)!!.
     """
     if not isinstance(mat, SymmetricComplexMatrix):
         raise ShapeMismatch("g_derivatives_hafnian: expected SymmetricComplexMatrix")
@@ -170,19 +153,25 @@ def g_derivatives_hafnian(mat, m, budget=DEFAULT_BUDGET):
     ops = sum(k * math.comb(two_n, 2 * k) * _double_factorial(2 * k - 1) for k in range(1, m + 1))
     if ops > budget:
         raise BudgetExceeded(f"g_derivatives_hafnian: {ops} operations over budget {budget}")
-    b = (mat.array - 1.0).tolist()
-    sums = [KahanSum() for _ in range(m + 1)]
-    for chosen in _disjoint_pair_collections(two_n, m):
-        w = 1 + 0j
-        for i, j in chosen:
-            w *= b[i][j]
-        sums[len(chosen)].add(w)
+    b = mat.array - 1.0
     out = np.zeros(m + 1, dtype=np.complex128)
     out[0] = float(math.factorial(two_n) // (2**n * math.factorial(n)))
     for k in range(1, m + 1):
+        acc = KahanSum()
+        for matchings in _chunks(_perfect_matchings(2 * k), 1 << 14):
+            # pair r of each matching as its slots' index in a flat 2k x 2k block
+            flat = np.array(matchings, dtype=np.intp) @ np.array([2 * k, 1])
+            chunk = min(1 << 14, (1 << 21) // len(matchings))
+            for block in _chunks(itertools.combinations(range(two_n), 2 * k), chunk):
+                verts = np.array(block, dtype=np.intp)
+                sub = b[verts[:, :, None], verts[:, None, :]].reshape(len(block), -1)
+                prod = sub[:, flat[:, 0]]
+                for r in range(1, k):
+                    prod *= sub[:, flat[:, r]]
+                acc.add(prod.sum())
         pref = math.factorial(k) * math.factorial(two_n - 2 * k)
         pref //= 2 ** (n - k) * math.factorial(n - k)
-        out[k] = float(pref) * sums[k].value
+        out[k] = float(pref) * acc.value
     return out
 
 
@@ -269,8 +258,10 @@ def g_full_expansion_permanent(mat):
 
 
 def _perfect_matchings(two_n):
-    """The perfect matchings of indices 0..two_n-1 as tuples of pairs, one at
-    a time, first-vertex pairing order."""
+    """The perfect matchings of indices 0..two_n-1 as tuples of pairs (i, j),
+    i < j, one at a time, first-vertex pairing order: the one matching
+    enumerator of both hafnian routes, over 2k slots in the pair sums and
+    over all 2n vertices in the full expansion."""
 
     def rec(mask, chosen):
         if mask == 0:

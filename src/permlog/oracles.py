@@ -63,24 +63,18 @@ def permanent_exact(mat):
 
 
 def permanent_naive(mat):
-    """Permanent by direct permutation-sum enumeration.
+    """Permanent by direct permutation-sum enumeration: the d = 2 case of
+    tensor_permanent_exact.
 
-    Reference path only (O(n! n)); agrees with permanent_exact and is kept
-    out of every hot path.
+    Reference path only (O(n! n)); independent of Ryser's permanent_exact,
+    which it is checked against, and kept out of every hot path. n <= 8.
     """
     if not isinstance(mat, ComplexMatrix):
         raise ShapeMismatch("permanent_naive: expected ComplexMatrix")
     n, limit = mat.n, 8
     if n > limit:
         raise SizeLimitExceeded(f"permanent_naive: n={n} exceeds limit {limit}")
-    rows = mat.array.tolist()
-    acc = KahanSum()
-    for perm in itertools.permutations(range(n)):
-        term = 1 + 0j
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        acc.add(term)
-    return acc.value
+    return tensor_permanent_exact(ComplexTensor.from_matrix(mat))
 
 
 def hafnian_exact(mat):

@@ -93,13 +93,26 @@ class TestGDerivativesHafnian:
         assert g[1] == pytest.approx(2.0)
 
     def test_matches_full_expansion(self):
+        # every degree m <= n: pair sums and expansion share one matching enumerator
         rng = np.random.default_rng(12)
-        raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        s = SymmetricComplexMatrix(1.0 + 0.2 * (raw + raw.T))
-        poly = g_full_expansion_hafnian(s)
-        g = g_derivatives_hafnian(s, 3)
-        for k in range(4):
-            assert g[k] == pytest.approx(poly.coeffs[k] * math.factorial(k), rel=1e-11)
+        for two_n in range(2, 13, 2):
+            raw = rng.standard_normal((two_n, two_n)) + 1j * rng.standard_normal((two_n, two_n))
+            s = SymmetricComplexMatrix(1.0 + 0.2 * (raw + raw.T))
+            want = g_full_expansion_hafnian(s).coeffs
+            for m in range(two_n // 2 + 1):
+                g = g_derivatives_hafnian(s, m)
+                for k in range(m + 1):
+                    assert g[k] == pytest.approx(want[k] * math.factorial(k), rel=1e-12), (two_n, m, k)
+
+    def test_matches_engine_across_blocks(self):
+        # C(40, 4) = 91390 vertex subsets at k = 2: six blocks of 2^14
+        rng = np.random.default_rng(14)
+        raw = rng.uniform(-1, 1, (40, 40)) + 1j * rng.uniform(-1, 1, (40, 40))
+        s = SymmetricComplexMatrix(1.0 + 0.15 * (raw + raw.T))
+        g = g_derivatives_hafnian(s, 2)
+        want = g_taylor_coefficients(s, 2)
+        for k in range(3):
+            assert g[k] / (math.factorial(k) * g[0]) == pytest.approx(want[k], rel=1e-12), k
 
     def test_degree_zero(self):
         s = SymmetricComplexMatrix(np.full((4, 4), 1.00001))
