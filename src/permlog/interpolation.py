@@ -766,9 +766,13 @@ class PhiPolynomial:
         return f"PhiPolynomial(rho={self.rho}, N={self.N})"
 
 
-def build_phi(rho):
-    """PhiPolynomial for the given rho in (0, 1]."""
-    return PhiPolynomial(rho)
+# cached: phi depends only on (rho, degree) and is immutable, and a strip op
+# at a given delta builds the same one every time
+@functools.lru_cache(maxsize=64)
+def build_phi(rho, degree=0):
+    """PhiPolynomial for the given rho in (0, 1], of degree at least
+    `degree` (see PhiPolynomial); one shared instance per (rho, degree)."""
+    return PhiPolynomial(rho, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -851,27 +855,37 @@ class _KindInfo:
     full_fn: object
 
 
+# cached: the factorials grow with n, and every op of one shape asks again
+@functools.lru_cache(maxsize=64)
+def _g0_facts(shape, d, n):
+    """(ln g(0), g(0)) for g(0) = per/haf/PER(J), the exact count n!,
+    (2n)!/(2^n n!) or (n!)^(d-1); both come from that one integer
+    (math.log takes integers past the float range)."""
+    if shape == "per":
+        count = math.factorial(n)
+    elif shape == "haf":
+        count = math.factorial(2 * n) // (2**n * math.factorial(n))
+    else:
+        count = math.factorial(n) ** (d - 1)
+    return math.log(count), _complex_or_inf(count)
+
+
 def _classify(value):
-    """The kind facts of an input. g(0) = per/haf/PER(J) is the exact count
-    n!, (2n)!/(2^n n!) or (n!)^(d-1); its log and its complex value both come
-    from that one integer (math.log takes integers past the float range)."""
+    """The kind facts of an input, with g(0) from _g0_facts."""
     # coefficient functions are read from the module globals on every call,
     # so rebinding a module attribute reroutes the pipelines
     if isinstance(value, ComplexMatrix):
         shape, d, n = "per", 2, value.n
-        count = math.factorial(n)
         tuple_fn, full_fn = g_derivatives_permanent, g_full_expansion_permanent
     elif isinstance(value, SymmetricComplexMatrix):
         shape, d, n = "haf", 2, value.two_n // 2
-        count = math.factorial(2 * n) // (2**n * math.factorial(n))
         tuple_fn, full_fn = g_derivatives_hafnian, g_full_expansion_hafnian
     elif isinstance(value, ComplexTensor):
         shape, d, n = "tensor", value.d, value.n
-        count = math.factorial(n) ** (d - 1)
         tuple_fn, full_fn = g_derivatives_tensor, g_full_expansion_tensor
     else:
         raise ShapeMismatch("expected ComplexMatrix, SymmetricComplexMatrix, or ComplexTensor")
-    return _KindInfo(shape, d, n, math.log(count), _complex_or_inf(count), tuple_fn, full_fn)
+    return _KindInfo(shape, d, n, *_g0_facts(shape, d, n), tuple_fn, full_fn)
 
 
 def _taylor_prefix_coeffs(value, info, mm):
@@ -901,6 +915,13 @@ def _taylor_prefix_coeffs(value, info, mm):
             inv_fact /= k
         out[k] = derivs[k] * inv_fact
     return out / out[0]
+
+
+def _require_finite(where, total, m):
+    """Refuse a log sum that overflowed: a forced degree gives up the
+    certificate, not finiteness."""
+    if not np.isfinite(total):
+        raise InfeasibleParameters(f"{where}: the log sum at degree {m} is not finite")
 
 
 def _certified_degree(where, deg_g, beta, epsilon, degree, force):
@@ -970,9 +991,13 @@ def approx_log_disc(value, eta, epsilon, l1=False, degree=None, force=False):
     m, bound = _certified_degree("approx_log_disc", info.n, beta, epsilon, degree, force)
     try:
         chat = _taylor_prefix_coeffs(value, info, min(m, info.n))
-        total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
+        # far outside the region (only with force) the terms overflow; the
+        # check below turns that into an error, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = info.log_g0 + compensated_total(series_log_coeffs_direct(chat, m))
     except MemoryError as exc:
         raise BudgetExceeded(f"approx_log_disc: degree {m} ran out of memory") from exc
+    _require_finite("approx_log_disc", total, m)
     return ApproxReport(
         log_value=complex(total),
         degree_used=m,
@@ -1065,18 +1090,29 @@ def _taylor_shift(c, x, rows):
     """Taylor coefficients b_k = f^(k)(x)/k!, k < rows, of the polynomial with
     ascending coefficients c at every point of x, as a (rows, x.size) array,
     with first-order running error bounds on them (Higham, Accuracy and
-    Stability of Numerical Algorithms, 5.1). In-place synthetic division:
-    pass k leaves b_k in row k."""
+    Stability of Numerical Algorithms, 5.1).
+
+    In-place synthetic division: step (k, j), k < rows and k <= j < deg,
+    adds x b_{j+1} to b_j, and row k holds b_k once its steps are done. It
+    reads the steps (k, j + 1) and (k - 1, j), whose k + (deg - 1 - j) is one
+    smaller, so each such anti-diagonal is one slice update whose right-hand
+    side still holds the previous anti-diagonal: deg numpy steps, each entry
+    with the arithmetic of the per-step loop."""
     deg = c.size - 1
     b = np.repeat(np.asarray(c, dtype=np.complex128)[:, None], x.size, axis=1)
     err = np.zeros(b.shape)
     ax = np.abs(x)
-    for k in range(min(rows, deg)):
-        for j in range(deg - 1, k - 1, -1):
-            prod = x * b[j + 1]
-            b[j] += prod
-            # a complex product errs by at most sqrt(8) u, a sum by u
-            err[j] += ax * err[j + 1] + _UNIT_ROUNDOFF * (np.abs(b[j]) + 3.0 * np.abs(prod))
+    # numpy rounds a lone complex product differently when one operand is
+    # broadcast; as a row, x takes the per-step loop's rounding at every size
+    x_row = x[None, :]
+    passes = min(rows, deg)
+    for t in range(deg):
+        lo = deg - 1 - t
+        hi = lo + min(passes, t + 1)
+        prod = x_row * b[lo + 1 : hi + 1]
+        b[lo:hi] += prod
+        # a complex product errs by at most sqrt(8) u, a sum by u
+        err[lo:hi] += ax * err[lo + 1 : hi + 1] + _UNIT_ROUNDOFF * (np.abs(b[lo:hi]) + 3.0 * np.abs(prod))
     return b[:rows], err[:rows]
 
 
@@ -1085,7 +1121,9 @@ def _certified_roots(c):
     with radii such that each disc holds exactly one root; None when a root
     cannot be certified.
 
-    np.roots gives the start points and three Newton steps polish them
+    The eigenvalues of the companion matrix that np.roots would build give
+    the start points (its trimming of zeros has nothing to do: c[0] = 1 and
+    the top coefficient is nonzero), and three Newton steps polish them
     against c, each evaluating f and f' by one Horner loop (the operations
     of _taylor_shift's first two passes, without their error terms). Each
     root then passes Smale's alpha-test, alpha = beta gamma < alpha_0 with
@@ -1101,7 +1139,9 @@ def _certified_roots(c):
     if deg == 0:
         return np.zeros(0, dtype=np.complex128), np.zeros(0)
     # real c keeps a real companion matrix, whose eigenvalues pair exactly
-    x = np.roots(c[::-1]).astype(np.complex128)
+    companion = np.diag(np.ones(deg - 1, dtype=np.result_type(c, 1.0)), -1)
+    companion[0] = -c[-2::-1] / c[deg]
+    x = np.linalg.eigvals(companion).astype(np.complex128)
     c = c.astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
@@ -1161,9 +1201,11 @@ def _strip_roots_sum(rhat, phi, m):
     half, and the integral is real. So the circle takes 32 Gauss-Legendre
     nodes on the upper half, summed as 2 Re, and the rays s = r + t (m+1)/m,
     whose weight falls as e^(-t), the panels of _phi_quadrature on the upper
-    side only, where the jump across the cut is -2i Im F. H is evaluated at
-    radius r and again at r/e, both in one batch; the two real values must
-    agree within Horner's a priori bound on F(1),
+    side only, where the jump across the cut is -2i Im F: there each factor
+    gives only its argument, arctan2(Im q, 1 + Re q) with q = v/w, while the
+    circle takes the complex log of each. H is evaluated at radius r and
+    again at r/e, both in one batch; the two real values must agree within
+    Horner's a priori bound on F(1),
     2n u sum_k |rhat_k| Phi(1)^k / |r(Phi(1))| (Higham, 5.1).
     """
     certified = _certified_roots(rhat)
@@ -1204,14 +1246,14 @@ def _strip_roots_sum(rhat, phi, m):
     radii = np.array([[r], [r / math.e]])
     s_loop = radii * np.exp(1j * theta)
     s_ray = radii + nodes * ((m + 1) / m)
-    v = np.concatenate(
-        (np.log(-np.expm1(s_loop / (m + 1))), np.log(np.expm1(s_ray / (m + 1))) + 1j * math.pi),
-        axis=1,
-    )
-    # F at points where ln(1 - alpha z) = v, since 1 - Phi/zeta = 1 + v/w
+    # F at points where ln(1 - alpha z) = v, since 1 - Phi/zeta = 1 + v/w;
+    # the rays need only Im F, the sum of the arguments of 1 + v/w
+    v = np.log(-np.expm1(s_loop / (m + 1)))
     f = np.log1p(v[:, :, None] / w).sum(axis=2)
-    loop = -np.sum(wx * (f[:, : theta.size] * weight(s_loop, s_loop) * s_loop).real, axis=1)
-    rays = -np.sum(weights * f[:, theta.size :].imag * weight(s_ray, radii), axis=1) * ((m + 1) / m)
+    q = (np.log(np.expm1(s_ray / (m + 1))) + 1j * math.pi)[:, :, None] / w
+    im_f = np.arctan2(q.imag, 1.0 + q.real).sum(axis=2)
+    loop = -np.sum(wx * (f * weight(s_loop, s_loop) * s_loop).real, axis=1)
+    rays = -np.sum(weights * im_f * weight(s_ray, radii), axis=1) * ((m + 1) / m)
     # 1/(2 pi) times the angle weights (pi/2) wx counted twice (2 Re) is 1/2;
     # the jump -2i Im F over 2 pi i is -Im F / pi
     h = 0.5 * loop + rays / math.pi
@@ -1242,11 +1284,12 @@ def approx_log_strip(value, delta_or_eta, epsilon, degree=None, force=False):
     segment, RegionSpec(STRIP_*, eta=s, tau=0); _strip_parameters says why
     it certifies.
 
-    Builds phi for the balanced rho and takes the normalized coefficients r
-    of g up to min(m, n) from the engine. The answer is ln g(0) plus the sum
-    of the first m log-series coefficients psi_k of ln r(phi(z)); psi_k
-    reads only r_0..r_k, so r cut at degree m < n gives the same sum. One of
-    two routes, which differ only in how that sum is computed, gives it:
+    Builds phi for the balanced rho (build_phi shares one per rho and
+    degree) and takes the normalized coefficients r of g up to min(m, n)
+    from the engine. The answer is ln g(0) plus the sum of the first m
+    log-series coefficients psi_k of ln r(phi(z)); psi_k reads only
+    r_0..r_k, so r cut at degree m < n gives the same sum. One of two
+    routes, which differ only in how that sum is computed, gives it:
 
     - strip-roots, when the roots of r pass the guard of _certified_roots:
       O(n) closed forms and one contour quadrature (_strip_roots_sum), with
@@ -1293,7 +1336,7 @@ def approx_log_strip(value, delta_or_eta, epsilon, degree=None, force=False):
             break
         big_n = m
     if big_n > phi.N:
-        phi = PhiPolynomial(rho, big_n)
+        phi = build_phi(rho, big_n)
     deg_g = phi.N * info.n
     total = info.log_g0
     path = "strip (degree 0)"
@@ -1309,6 +1352,7 @@ def approx_log_strip(value, delta_or_eta, epsilon, degree=None, force=False):
             path = "strip-roots" if why is None else f"strip-fft ({why})"
     except MemoryError as exc:
         raise BudgetExceeded(f"approx_log_strip: degree {m} ran out of memory") from exc
+    _require_finite("approx_log_strip", total, m)
     return ApproxReport(
         log_value=complex(total),
         degree_used=m,

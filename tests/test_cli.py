@@ -280,6 +280,21 @@ class TestApproxCommand:
         assert approx["error_bound"] is None
         assert "force" in captured.err.lower()
 
+    def test_non_finite_sum_exit_code(self, capsys, tmp_path):
+        # far outside its region a forced degree overflows the log series
+        p = tmp_path / "far.json"
+        save_instance(ComplexMatrix(np.array([[5.0, -3.0], [-3.0, 5.0]])), p)
+        argv = ["approx", str(p), "--method", "disc", "--eta=0.3", "--epsilon=0.1", "--degree=1000", "--force"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: approx_log_disc: the log sum at degree 1000 is not finite"]
+        assert caught == []
+
     def test_budget_exit_code(self, tmp_path):
         # n = 12 is beyond the full-expansion fallback, and the tuple route
         # needs more than the default budget at this epsilon

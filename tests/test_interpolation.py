@@ -808,6 +808,49 @@ class TestStripPipeline:
             reps.append(rep)
         assert reps[0].phi_degree > build_phi(reps[0].rho).N
 
+    @pytest.mark.parametrize(
+        "value, delta, epsilon, builds",
+        [
+            # m <= N: phi at the paper's N only
+            (ComplexMatrix(np.random.default_rng(52).uniform(0.5, 1.0, (6, 6))), 0.5, 0.1, 1),
+            # m = 60326 > N = 55989: phi at N, then at N' = m
+            (ComplexMatrix(np.full((3, 3), 0.8)), 0.55, 1e-3, 2),
+        ],
+    )
+    def test_phi_built_once_per_degree(self, monkeypatch, value, delta, epsilon, builds):
+        made = []
+
+        def counting(rho, degree=0):
+            phi = PhiPolynomial(rho, degree)
+            made.append((phi.rho, phi.N))
+            return phi
+
+        permlog.interpolation.build_phi.cache_clear()
+        monkeypatch.setattr(permlog.interpolation, "PhiPolynomial", counting)
+        try:
+            reps = [approx_log_strip(value, delta, epsilon) for _ in range(20)]
+        finally:
+            permlog.interpolation.build_phi.cache_clear()
+        assert len(made) == len(set(made)) == builds
+        assert made[-1] == (reps[0].rho, reps[0].phi_degree)
+        first = reps[0].to_dict()
+        del first["elapsed_s"]
+        for rep in reps[1:]:
+            d = rep.to_dict()
+            del d["elapsed_s"]
+            assert d == first
+
+    @pytest.mark.parametrize("pipeline, param", [(approx_log_disc, 0.3), (approx_log_strip, 0.7)])
+    def test_non_finite_sum_is_infeasible(self, monkeypatch, pipeline, param):
+        # a forced degree gives up the certificate, not finiteness
+        if pipeline is approx_log_disc:
+            a = ComplexMatrix(np.array([[5.0, -3.0], [-3.0, 5.0]]))
+        else:
+            a = ComplexMatrix(np.random.default_rng(53).uniform(0.7, 1.0, (3, 3)))
+            monkeypatch.setattr(permlog.interpolation, "_strip_roots_sum", lambda *args: (math.nan, None))
+        with pytest.raises(InfeasibleParameters, match="degree 1000 is not finite"):
+            pipeline(a, param, 0.1, degree=1000, force=True)
+
     def test_report_serialization(self):
         rep = approx_log_strip(ComplexMatrix(np.full((3, 3), 0.85)), 0.8, 0.1)
         d = rep.to_dict()

@@ -91,6 +91,33 @@ def _full_contour_sum(rhat, phi, m):
     return math.log(abs(r_at_one)) + float(hankel(r).real)
 
 
+def _taylor_shift_by_steps(c, x, rows):
+    """The Taylor shift one synthetic-division step at a time, the reference
+    for _taylor_shift's anti-diagonals: pass k leaves b_k in row k."""
+    deg = c.size - 1
+    b = np.repeat(np.asarray(c, dtype=np.complex128)[:, None], x.size, axis=1)
+    err = np.zeros(b.shape)
+    ax = np.abs(x)
+    for k in range(min(rows, deg)):
+        for j in range(deg - 1, k - 1, -1):
+            prod = x * b[j + 1]
+            b[j] += prod
+            err[j] += ax * err[j + 1] + _UNIT_ROUNDOFF * (np.abs(b[j]) + 3.0 * np.abs(prod))
+    return b[:rows], err[:rows]
+
+
+def _shift_cases(rng, complex_coefficients):
+    """(c, x, rows) for deg 1..14, every row count 0..deg + 1 and complex x."""
+    for deg in range(1, 15):
+        for size in (1, 3, 8):
+            c = np.concatenate(([1.0], rng.uniform(-1.0, 1.0, deg)))
+            if complex_coefficients:
+                c = c + 1j * np.concatenate(([0.0], rng.uniform(-1.0, 1.0, deg)))
+            x = rng.normal(size=size) + 1j * rng.normal(size=size)
+            for rows in range(deg + 2):
+                yield c, x, rows
+
+
 def _newton_by_shift(c):
     """The polished start points as three Newton steps on the first two rows
     of the running-error Taylor shift give them."""
@@ -123,6 +150,25 @@ def _far_pair(phi):
     return np.real(np.poly(roots)[::-1] / np.prod(-roots))
 
 
+class TestTaylorShift:
+    def test_real_coefficients_match_steps_bit_for_bit(self):
+        # the strip pipeline passes only real coefficients
+        for c, x, rows in _shift_cases(np.random.default_rng(91), False):
+            b, err = _taylor_shift(c, x, rows)
+            want_b, want_err = _taylor_shift_by_steps(c, x, rows)
+            assert b.shape == want_b.shape == (rows, x.size)
+            assert np.array_equal(b, want_b) and np.array_equal(err, want_err)
+
+    def test_complex_coefficients_agree_within_ulps(self):
+        # numpy's complex products may round by shape; the pipeline passes
+        # real coefficients only, so here the last bit or two may differ
+        for c, x, rows in _shift_cases(np.random.default_rng(92), True):
+            b, err = _taylor_shift(c, x, rows)
+            want_b, want_err = _taylor_shift_by_steps(c, x, rows)
+            assert np.all(np.abs(b - want_b) <= 4.0 * _UNIT_ROUNDOFF * np.abs(want_b))
+            assert np.all(np.abs(err - want_err) <= 4.0 * _UNIT_ROUNDOFF * want_err)
+
+
 class TestConjugateSymmetry:
     def test_roots_of_real_polynomials_come_in_exact_pairs(self):
         rng = np.random.default_rng(86)
@@ -150,8 +196,14 @@ class TestConjugateSymmetry:
             if got is not None:
                 assert np.array_equal(got[0], _newton_by_shift(c))
 
-    @pytest.mark.parametrize("make, param", _MATCHES_FFT_CASES, ids=_MATCHES_FFT_IDS)
+    @pytest.mark.parametrize(
+        "make, param",
+        [*_MATCHES_FFT_CASES, (lambda rng: ComplexMatrix(rng.uniform(0.5, 1.0, (12, 12))), 0.5)],
+        ids=[*_MATCHES_FFT_IDS, "per12"],
+    )
     def test_half_contour_matches_full_contour(self, make, param):
+        # the reference takes the complex log on both sides of the cut, so
+        # this also checks the rays' Im F from the arguments alone
         value = make(np.random.default_rng(81))
         rep = approx_log_strip(value, param, 0.1)
         phi = build_phi(rep.rho)
